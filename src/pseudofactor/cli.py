@@ -6,8 +6,9 @@ Subcommands:
   solve     run the exact oracle and/or the constructive solver on one graph
   verify    run a corpus and check every row against the ceiling
 
-Exit codes: 0 ok, 2 parse error, 3 capacity refusal in strict mode,
-4 bound violation.
+Exit codes: 0 ok, 2 parse error (or invalid option value), 3 capacity
+refusal in strict mode, 4 bound violation, 5 internal error (an invalid
+factor built by the oracle or the solver, or a SOLVER_INCONSISTENT row).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import CapacityError, ParseError
+from .errors import CapacityError, FactorError, ParseError
 from .factor import factor_to_text
 from .generators import FamilySpec, parse_manifest
 from .graph import Graph, independence_number, min_degree, read_graph_file, to_edge_list
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CAPACITY = 3
 EXIT_VIOLATION = 4
+EXIT_INTERNAL = 5
 
 
 def _parse_b_list(text: str) -> list[int]:
@@ -144,6 +146,11 @@ def _cmd_verify(args) -> int:
             print(f"reproducer written to {path}", file=sys.stderr)
         print("BOUND VIOLATION detected", file=sys.stderr)
         return EXIT_VIOLATION
+    inconsistent = [r for r in run.reports if r.status == "SOLVER_INCONSISTENT"]
+    for report in inconsistent:
+        print(f"SOLVER INCONSISTENT: {report.instance} b={report.b}", file=sys.stderr)
+    if inconsistent:
+        return EXIT_INTERNAL
     if args.strict and run.summary["capacity_skipped"]:
         print("capacity refusals in strict mode", file=sys.stderr)
         return EXIT_CAPACITY
@@ -205,6 +212,10 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except FactorError as exc:
+        # FactorError subclasses ValueError but is never the user's input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

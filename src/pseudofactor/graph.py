@@ -21,6 +21,9 @@ Edge = tuple[int, int]
 INDEPENDENCE_LIMIT = 40
 #: largest vertex count accepted by the exhaustive longest-path search
 LONGEST_PATH_LIMIT = 18
+#: largest vertex count a graph file may declare; checked before any
+#: per-vertex allocation, far above every exact routine's limit
+DECLARED_VERTEX_LIMIT = 1 << 16
 
 
 def norm_edge(u: int, v: int) -> Edge:
@@ -94,6 +97,21 @@ class Graph:
 # parsing / serialization
 
 
+def _declared_count(token: str, lineno: int) -> int:
+    """Vertex count from a header token, in 0..DECLARED_VERTEX_LIMIT."""
+    try:
+        n = int(token)
+    except ValueError:
+        raise GraphParseError(f"line {lineno}: vertex count {token!r} is not an integer") from None
+    if n < 0:
+        raise GraphParseError(f"line {lineno}: vertex count must be non-negative")
+    if n > DECLARED_VERTEX_LIMIT:
+        raise GraphParseError(
+            f"line {lineno}: vertex count {n} exceeds the limit of {DECLARED_VERTEX_LIMIT}"
+        )
+    return n
+
+
 def load_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
@@ -113,12 +131,7 @@ def load_edge_list(text: str) -> Graph:
                 raise GraphParseError(f"line {lineno}: duplicate vertex-count header")
             if len(parts) != 2:
                 raise GraphParseError(f"line {lineno}: header must be 'n <count>'")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: vertex count {parts[1]!r} is not an integer") from None
-            if n < 0:
-                raise GraphParseError(f"line {lineno}: vertex count must be non-negative")
+            n = _declared_count(parts[1], lineno)
             continue
         if n is None:
             raise GraphParseError(f"line {lineno}: edge before the 'n <count>' header")
@@ -153,12 +166,7 @@ def load_dimacs(text: str) -> Graph:
                 raise GraphParseError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphParseError(f"line {lineno}: expected 'p edge <n> <m>'")
-            try:
-                n = int(parts[2])
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: vertex count {parts[2]!r} is not an integer") from None
-            if n < 0:
-                raise GraphParseError(f"line {lineno}: vertex count must be non-negative")
+            n = _declared_count(parts[2], lineno)
         elif parts[0] == "e":
             if n is None:
                 raise GraphParseError(f"line {lineno}: edge before the problem line")

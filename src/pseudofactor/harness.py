@@ -4,8 +4,11 @@ A report row records the instance parameters, the guaranteed ceiling
 max(0, alpha - floor(b*(delta-1)/2)) on small components, the exact optimum
 and/or the constructive solver's value, and a status. An exact optimum above
 the ceiling would falsify the guarantee, so it aborts the run loudly
-(BOUND_VIOLATION); b = 3 rows are processed but carry no guarantee, and
-graphs with isolated vertices are downgraded to informational rows.
+(BOUND_VIOLATION). A row whose values break the solvers' own invariants
+(oracle <= solver <= alpha, the oracle witness attains the optimum) is an
+internal fault (SOLVER_INCONSISTENT). b = 3 rows are processed but carry no
+guarantee, and graphs with isolated vertices are downgraded to informational
+rows.
 
 Report bodies are byte-deterministic for a fixed manifest: rows appear in
 manifest order regardless of worker count, and the timestamp lives only in a
@@ -15,6 +18,7 @@ header line that comparisons exclude.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -68,7 +72,7 @@ class BoundReport:
     kl_regime: bool
     isolated_vertices: bool
     b3_no_guarantee: bool
-    status: str  # ok | BOUND_VIOLATION | capacity_skipped
+    status: str  # ok | BOUND_VIOLATION | SOLVER_INCONSISTENT | capacity_skipped
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -79,7 +83,9 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "") 
 
     Capacity refusals become status "capacity_skipped", never a silently
     truncated answer. Bound checking needs delta >= 1; isolated vertices set a
-    flag and make the row informational.
+    flag and make the row informational. Values that break
+    oracle <= heuristic <= alpha, or an oracle witness whose small count is
+    not the optimum, make the row SOLVER_INCONSISTENT.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -105,9 +111,12 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "") 
         kl = 2 * alpha <= b * (delta - 1)
 
     oracle_opt: int | None = None
+    consistent = True
     if mode in ("oracle", "both") and not capacity_hit:
         try:
-            oracle_opt = min_small_components_exact(g, b).optimum
+            exact = min_small_components_exact(g, b)
+            oracle_opt = exact.optimum
+            consistent = exact.witness.small_count == oracle_opt
         except CapacityError:
             capacity_hit = True
 
@@ -118,6 +127,9 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "") 
         except CapacityError:
             capacity_hit = True
 
+    if heur is not None and not (oracle_opt or 0) <= heur <= alpha:
+        consistent = False
+
     if (
         oracle_opt is not None
         and bound is not None
@@ -125,6 +137,8 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "") 
         and oracle_opt > bound
     ):
         status = "BOUND_VIOLATION"
+    elif not consistent:
+        status = "SOLVER_INCONSISTENT"
     elif capacity_hit:
         status = "capacity_skipped"
     else:
@@ -194,13 +208,17 @@ def run_corpus(items, b_values, mode: str = "oracle", jobs: int = 1) -> CorpusRu
     count; plus the aggregate summary.
 
     ``items`` is a sequence of (instance_id, Graph). Workers share nothing
-    mutable, so parallel and serial runs produce identical reports.
+    mutable, so parallel and serial runs produce identical reports. The pool
+    never has more workers than tasks or CPUs.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(instance, g, b, mode) for instance, g in items for b in b_values]
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         reports = [_verify_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_verify_task, tasks, chunksize=1))
     return CorpusRun(tuple(reports), summarize(reports))
 

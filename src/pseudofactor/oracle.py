@@ -1,14 +1,14 @@
 """Exact minimum number of small (edge/vertex) components over all pseudo
 [2,b]-factors, plus an independent cross-check oracle.
 
-The main solver is a dynamic program over vertex subsets: a factor is a
-partition of V into blocks, where a block costs 0 when it carries a spanning
-subgraph with all degrees in [2, b], costs 1 when it is an adjacent pair or a
-singleton, and is infeasible otherwise. Each block is forced to contain the
-lowest-indexed remaining vertex, so every partition is enumerated exactly
-once. The cross-check enumerates set partitions directly and decides block
-feasibility by its own edge-subset search; it deliberately shares no solver
-code with the DP.
+The main solver scans a maximum-matching table. Large components impose
+nothing on each other, and disjoint vertex sets that each carry a spanning
+subgraph with all degrees in [2, b] carry one together, so every factor is a
+large part S (empty, or such a feasible set) plus a matching of G - S; the
+best ones use a maximum matching and leave |V - S| - nu(G - S) small
+components. The cross-check enumerates set partitions directly and decides
+block feasibility by its own edge-subset search; it deliberately shares no
+solver code with the scan.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import CapacityError
 from .factor import PseudoFactor, spanning_in_range
 from .graph import Edge, Graph, bits, norm_edge
 
-#: largest instance accepted by the subset DP
+#: largest instance accepted by the matching-table scan
 ORACLE_LIMIT = 15
 #: largest instance accepted by the partition-enumeration cross-check
 NAIVE_LIMIT = 9
@@ -32,90 +32,59 @@ class OracleResult:
     blocks: tuple[tuple[int, ...], ...]
 
 
-def _block_costs(g: Graph, b: int) -> list[int | None]:
-    """cost[mask] for every vertex subset: 0 (supports a degree-[2,b] spanning
-    subgraph), 1 (adjacent pair or singleton), or None (cannot be a block)."""
-    full = g.full_mask
-    cost: list[int | None] = [None] * (full + 1)
-    for v in range(g.n):
-        cost[1 << v] = 1
-    for u, v in g.edges:
-        cost[(1 << u) | (1 << v)] = 1
-    adjb = g.adj_bits
-    for mask in range(1, full + 1):
-        if mask.bit_count() < 3:
-            continue
-        degs = [(adjb[v] & mask).bit_count() for v in bits(mask)]
-        if min(degs) < 2:
-            continue
-        if max(degs) <= b:
-            cost[mask] = 0
-        elif spanning_in_range(g, bits(mask), b) is not None:
-            cost[mask] = 0
-    return cost
-
-
 def min_small_components_exact(g: Graph, b: int, limit: int = ORACLE_LIMIT) -> OracleResult:
     """Minimum count of edge/vertex components over all pseudo [2,b]-factors,
-    with a witness factor attaining it.
+    with a witness factor attaining it; ``blocks`` are the witness's
+    component vertex tuples.
 
-    Witness tie-break: fewest vertex components first, then the
-    lexicographically smallest block set.
+    Candidate large parts S are tried in order of (small components, vertex
+    components, bitmask of S); the first feasible one wins. The matching of
+    V - S is rebuilt lowest vertex first, leaving a vertex single whenever
+    that keeps the matching maximum, else pairing it with its lowest
+    neighbor that does.
     """
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
     if g.n > limit:
         raise CapacityError(f"exact oracle limited to {limit} vertices, got {g.n}")
-    if g.n == 0:
-        return OracleResult(0, PseudoFactor.build(g, (), b), ())
 
-    cost = _block_costs(g, b)
     full = g.full_mask
-    # dp[mask] = (small, singletons, pivot block mask, pivot block tuple);
-    # comparing (small, singletons, block tuple) is enough to pick the
-    # lexicographically smallest block set because the pivot block, holding
-    # the lowest vertex of mask, always sorts first in the final partition.
-    dp: list[tuple[int, int, int, tuple[int, ...]] | None] = [None] * (full + 1)
-    dp[0] = (0, 0, 0, ())
+    adjb = g.adj_bits
+    # nu[mask] = maximum matching size of G[mask]: its lowest vertex is
+    # either left single or matched to one of its neighbors in mask
+    nu = [0] * (full + 1)
     for mask in range(1, full + 1):
-        pivot = mask & -mask
-        rest = mask ^ pivot
-        best: tuple[int, int, int, tuple[int, ...]] | None = None
-        sub = rest
-        while True:
-            block = sub | pivot
-            c = cost[block]
-            if c is not None:
-                entry = dp[mask ^ block]
-                small = c + entry[0]
-                sing = entry[1] + (1 if block == pivot else 0)
-                if best is None or (small, sing) < (best[0], best[1]):
-                    best = (small, sing, block, tuple(bits(block)))
-                elif (small, sing) == (best[0], best[1]):
-                    t = tuple(bits(block))
-                    if t < best[3]:
-                        best = (small, sing, block, t)
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        dp[mask] = best
+        low = mask & -mask
+        rest = mask ^ low
+        best = nu[rest]
+        for w in bits(adjb[low.bit_length() - 1] & rest):
+            best = max(best, nu[rest ^ (1 << w)] + 1)
+        nu[mask] = best
 
-    blocks: list[tuple[int, ...]] = []
-    mask = full
-    while mask:
-        entry = dp[mask]
-        blocks.append(entry[3])
-        mask ^= entry[2]
+    def key(large: int) -> tuple[int, int, int]:
+        rest = full ^ large
+        return (rest.bit_count() - nu[rest], rest.bit_count() - 2 * nu[rest], large)
 
-    edges: list[Edge] = []
-    for block in blocks:
-        if len(block) == 2:
-            edges.append(norm_edge(*block))
-        elif len(block) >= 3:
-            chosen = spanning_in_range(g, block, b)
-            edges.extend(chosen)
+    for large in sorted(range(full + 1), key=key):
+        chosen = spanning_in_range(g, bits(large), b) if large else ()
+        if chosen is not None:
+            break
+
+    edges: list[Edge] = list(chosen)
+    rest = full ^ large
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        size = nu[rest]
+        rest ^= low
+        if nu[rest] < size:
+            w = next(w for w in bits(adjb[v] & rest) if nu[rest ^ (1 << w)] == size - 1)
+            edges.append(norm_edge(v, w))
+            rest ^= 1 << w
+
     witness = PseudoFactor.build(g, edges, b)
-    return OracleResult(dp[full][0], witness, tuple(blocks))
+    blocks = tuple(c.vertices for c in witness.components)
+    return OracleResult(key(large)[0], witness, blocks)
 
 
 # ---------------------------------------------------------------------------

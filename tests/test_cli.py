@@ -1,7 +1,9 @@
 import json
 
+import pseudofactor.cli as cli
 import pseudofactor.harness as harness
 from pseudofactor.cli import main
+from pseudofactor.errors import FactorError
 from pseudofactor.generators import gnp
 from pseudofactor.graph import load_edge_list, to_edge_list
 from pseudofactor.oracle import OracleResult, min_small_components_exact
@@ -46,6 +48,24 @@ def test_solve_capacity(tmp_path, capsys):
     path = tmp_path / "big.edges"
     path.write_text(to_edge_list(gnp(18, 0.4, 1)))
     assert main(["solve", str(path), "-b", "4", "--mode", "oracle"]) == 3
+
+
+def test_solve_declared_vertex_count(tmp_path, capsys):
+    # a one-line header must not allocate a billion vertices
+    for name, text in (("huge.edges", "n 1000000000\n"), ("huge.dimacs", "p edge 1000000000 0\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["solve", str(path), "-b", "4"]) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
+
+
+def test_solve_internal_error(capsys, monkeypatch):
+    def broken(g, b):
+        raise FactorError("component (0, 1, 2): vertex 0 has degree 1, outside [2, 4]")
+
+    monkeypatch.setattr(cli, "heuristic_solve", broken)
+    assert main(["solve", "--family", "cycle n=5", "-b", "4", "--mode", "heuristic"]) == 5
+    assert "internal error:" in capsys.readouterr().err
 
 
 def test_generate_round_trip(tmp_path, capsys):
@@ -97,6 +117,30 @@ def test_verify_bad_b_list(tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("cycle n=5\n")
     assert main(["verify", str(manifest), "-b", "4,x"]) == 2
+
+
+def test_verify_bad_jobs(tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("cycle n=5\n")
+    for jobs in ("0", "-3"):
+        assert main(["verify", str(manifest), "-b", "4", "--jobs", jobs]) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_verify_solver_inconsistent_exit_code(tmp_path, capsys, monkeypatch):
+    class Impossible:
+        small_count = 99  # above alpha(C5) = 2
+
+    monkeypatch.setattr(harness, "solve", lambda g, b: Impossible())
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("cycle n=5\n")
+    report = tmp_path / "report.jsonl"
+    code = main(["verify", str(manifest), "-b", "4", "--mode", "both",
+                 "--report", str(report)])
+    assert code == 5
+    assert "SOLVER INCONSISTENT: cycle n=5 b=4" in capsys.readouterr().err
+    row = json.loads(report.read_text().splitlines()[1])
+    assert row["status"] == "SOLVER_INCONSISTENT"
 
 
 def test_verify_strict_capacity(tmp_path, capsys):

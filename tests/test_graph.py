@@ -6,6 +6,7 @@ from conftest import brute_force_alpha, petersen, small_graphs
 from pseudofactor.errors import CapacityError, GraphParseError
 from pseudofactor.generators import complete_graph, cycle_graph
 from pseudofactor.graph import (
+    DECLARED_VERTEX_LIMIT,
     Graph,
     connected_components,
     endpoint_cycle,
@@ -72,6 +73,15 @@ class TestParsing:
     def test_dimacs_out_of_range(self):
         with pytest.raises(GraphParseError, match="range"):
             load_dimacs("p edge 2 1\ne 1 3")
+
+    def test_declared_vertex_count_limit(self):
+        # rejected at the header, before any per-vertex allocation
+        over = DECLARED_VERTEX_LIMIT + 1
+        with pytest.raises(GraphParseError, match="exceeds the limit"):
+            load_edge_list(f"n {over}\n0 1")
+        with pytest.raises(GraphParseError, match="exceeds the limit"):
+            load_dimacs(f"p edge {over} 1\ne 1 2")
+        assert load_edge_list(f"n {DECLARED_VERTEX_LIMIT}").n == DECLARED_VERTEX_LIMIT
 
     def test_autodetect(self):
         assert load_graph_text("p edge 2 1\ne 1 2").edges == ((0, 1),)

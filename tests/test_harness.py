@@ -3,7 +3,7 @@ import json
 import pytest
 
 import pseudofactor.harness as harness
-from pseudofactor.generators import complete_graph, cycle_graph, gnp, join_sharpness
+from pseudofactor.generators import complete_graph, cycle_graph, gnp, join_sharpness, path_graph
 from pseudofactor.graph import Graph
 from pseudofactor.harness import (
     BoundReport,
@@ -82,6 +82,40 @@ class TestVerifyInstance:
         assert report.oracle_optimum is None
         assert report.heuristic_value == 0
 
+    @pytest.mark.parametrize("value", [-1, 3])
+    def test_impossible_heuristic_value(self, monkeypatch, value):
+        # C5 at b=4: oracle optimum 0, alpha 2; -1 beats the oracle, 3 exceeds alpha
+        class Impossible:
+            small_count = value
+
+        monkeypatch.setattr(harness, "solve", lambda g, b: Impossible())
+        report = verify_instance(cycle_graph(5), 4, mode="both")
+        assert report.heuristic_value == value
+        assert report.status == "SOLVER_INCONSISTENT"
+
+    def test_witness_must_attain_optimum(self, monkeypatch):
+        # b = 3 carries no guarantee, so only the witness check can catch it
+        real = min_small_components_exact
+
+        def shifted(g, b, limit=15):
+            result = real(g, b, limit=limit)
+            return OracleResult(result.optimum + 1, result.witness, result.blocks)
+
+        monkeypatch.setattr(harness, "min_small_components_exact", shifted)
+        report = verify_instance(path_graph(4), 3, mode="oracle")
+        assert report.status == "SOLVER_INCONSISTENT"
+
+    def test_bound_violation_takes_precedence(self, monkeypatch):
+        real = min_small_components_exact
+
+        def inflated(g, b, limit=15):
+            result = real(g, b, limit=limit)
+            return OracleResult(result.optimum + 99, result.witness, result.blocks)
+
+        monkeypatch.setattr(harness, "min_small_components_exact", inflated)
+        report = verify_instance(cycle_graph(5), 4, mode="both")
+        assert report.status == "BOUND_VIOLATION"
+
     def test_kl_regime_flag(self):
         report = verify_instance(complete_graph(5), 4)
         assert report.kl_regime
@@ -108,6 +142,41 @@ class TestRunCorpus:
         parallel = run_corpus(items, [4], mode="both", jobs=4)
         assert serial.reports == parallel.reports
         assert serial.summary == parallel.summary
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                run_corpus([("c5", cycle_graph(5))], [4], jobs=jobs)
+
+    def test_pool_size_is_clamped(self, monkeypatch):
+        # never start a large pool for real: a fake executor records the
+        # requested size and maps serially
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        items = [(f"c{n}", cycle_graph(n)) for n in (4, 5, 6, 7)]
+        serial = run_corpus(items, [4], jobs=1)
+        assert run_corpus(items, [4], jobs=10**6).reports == serial.reports
+        run_corpus(items[:2], [4], jobs=10**6)
+        run_corpus(items, [4], jobs=2)
+        assert sizes == [3, 2, 2]
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        run_corpus(items, [4], jobs=8)  # unknown CPU count: serial
+        assert sizes == [3, 2, 2]
 
     def test_violation_detection_and_reproducer(self, tmp_path, monkeypatch):
         # the guarantee holds on real graphs, so fake an optimum above the

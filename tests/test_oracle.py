@@ -47,6 +47,7 @@ class TestExact:
             result = min_small_components_exact(g, 4)
             summary = validate_pseudo_factor(g, result.witness.edges, 4)
             assert summary.small_count == result.optimum
+            assert result.blocks == tuple(c.vertices for c in result.witness.components)
 
     def test_witness_blocks_partition_vertices(self):
         g = gnp(9, 0.5, 7)
@@ -106,5 +107,5 @@ class TestNaive:
     @given(small_graphs(max_n=7))
     @settings(max_examples=50, deadline=None)
     def test_agrees_with_dp(self, g):
-        for b in (4, 5):
+        for b in (2, 3, 4, 5, 6):
             assert min_small_components_naive(g, b) == min_small_components_exact(g, b).optimum
