@@ -10,13 +10,17 @@ graph, bit for bit, on every platform.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from .errors import ManifestError
-from .graph import Graph
+from .graph import DECLARED_VERTEX_LIMIT, Graph
 
 FAMILIES = ("join", "pendant", "gnp", "cycle", "complete", "path")
+#: largest edge count a family spec may imply (for gnp: the vertex pairs it
+#: samples); checked at parse time, before anything is built
+MANIFEST_EDGE_LIMIT = 1 << 18
 
 
 def join_sharpness(h: Graph, p: int) -> Graph:
@@ -107,6 +111,30 @@ _REQUIRED_KEYS = {
 }
 
 
+def _implied_size(family: str, values: dict[str, int | float]) -> tuple[int, int]:
+    """(vertices, edges) of the graph a spec builds; gnp counts every vertex
+    pair it samples. Negative sizes count as 0 and are left to ``build``."""
+
+    def size(key: str) -> int:
+        val = values[key]
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ManifestError(f"{key}={val} is not finite")
+        return max(0, int(val))
+
+    if family == "join":
+        h, p = size("h"), size("p")
+        return h + 2 * p, h * (h - 1) // 2 + p + 2 * h * p
+    if family == "pendant":
+        h = size("h")
+        return 2 * h, 2 * h
+    n = size("n")
+    if family == "cycle":
+        return n, n
+    if family == "path":
+        return n, max(0, n - 1)
+    return n, n * (n - 1) // 2  # complete, gnp
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """One instance family with its parameters.
@@ -149,6 +177,15 @@ class FamilySpec:
         extra = [k for k in seen if k not in required]
         if extra:
             raise ManifestError(f"family {family!r} does not take {', '.join(extra)}")
+        vertices, edges = _implied_size(family, seen)
+        if vertices > DECLARED_VERTEX_LIMIT:
+            raise ManifestError(
+                f"family {family!r} implies {vertices} vertices, over the limit of {DECLARED_VERTEX_LIMIT}"
+            )
+        if edges > MANIFEST_EDGE_LIMIT:
+            raise ManifestError(
+                f"family {family!r} implies {edges} edges, over the limit of {MANIFEST_EDGE_LIMIT}"
+            )
         return cls(family, tuple((k, seen[k]) for k in required))
 
     def get(self, key: str) -> int | float:

@@ -285,12 +285,29 @@ def _reachable(adj_bits, start: int, avail: int) -> int:
     return seen
 
 
-def longest_path(g: Graph, within=None, limit: int = LONGEST_PATH_LIMIT) -> tuple[int, ...]:
-    """A path (distinct vertices, consecutive adjacent) with the most vertices.
+def _component_masks(adj_bits, mask: int):
+    """Bitmasks of the connected components of ``mask``, by smallest member."""
+    while mask:
+        start = (mask & -mask).bit_length() - 1
+        comp = (1 << start) | _reachable(adj_bits, start, mask)
+        yield comp
+        mask &= ~comp
 
-    Exhaustive DFS from every start vertex, pruned by the number of still
-    reachable unvisited vertices. Exponential; refuses instances above
-    ``limit`` vertices.
+
+def longest_path(g: Graph, within=None, limit: int = LONGEST_PATH_LIMIT) -> tuple[int, ...]:
+    """The lexicographically smallest path (distinct vertices, consecutive
+    adjacent) among those with the most vertices.
+
+    Exhaustive DFS from every start vertex in ascending order, extending by
+    ascending neighbor, so paths are visited in lexicographic order; ``best``
+    is only replaced by a strictly longer path, so the first longest path in
+    that order is returned. Any valid upper bound on a branch's reach may
+    therefore prune it without changing the answer. The bound at vertex v
+    with reachable unvisited set R is ``len(path) + |R| - max(0, ends - 1)``,
+    where ``ends`` counts the vertices of R with exactly one neighbor in
+    R + v: such a vertex can only be the last one of the path. Start
+    vertices stop once ``best`` spans a largest component. Exponential;
+    refuses instances above ``limit`` vertices.
     """
     mask = g.full_mask if within is None else to_mask(within)
     k = mask.bit_count()
@@ -309,14 +326,27 @@ def longest_path(g: Graph, within=None, limit: int = LONGEST_PATH_LIMIT) -> tupl
         ext = adj[v] & avail
         if not ext:
             return
-        if len(path) + _reachable(adj, v, avail).bit_count() <= len(best):
+        reach = _reachable(adj, v, avail)
+        slack = len(path) + reach.bit_count() - len(best)
+        if slack <= 0:
+            return
+        scope = reach | (1 << v)
+        ends = 0
+        for w in bits(reach):
+            x = adj[w] & scope
+            if not x & (x - 1):
+                ends += 1
+        if ends - 1 >= slack:
             return
         for u in bits(ext):
             path.append(u)
             dfs(u, avail & ~(1 << u))
             path.pop()
 
+    largest = max(c.bit_count() for c in _component_masks(adj, mask))
     for s in bits(mask):
+        if len(best) == largest:
+            break
         path = [s]
         dfs(s, mask & ~(1 << s))
     return tuple(best)
@@ -352,12 +382,4 @@ def connected_components(g: Graph, within=None) -> list[frozenset[int]]:
     """Partition of ``within`` (default: all vertices) into maximal connected
     sets of the induced subgraph, ordered by smallest member."""
     mask = g.full_mask if within is None else to_mask(within)
-    adj = g.adj_bits
-    comps: list[frozenset[int]] = []
-    rest = mask
-    while rest:
-        start = (rest & -rest).bit_length() - 1
-        comp = (1 << start) | _reachable(adj, start, rest)
-        comps.append(frozenset(bits(comp)))
-        rest &= ~comp
-    return comps
+    return [frozenset(bits(comp)) for comp in _component_masks(g.adj_bits, mask)]

@@ -110,15 +110,18 @@ def _make_state(g: Graph, f_edges, cache: dict[int, int]) -> SearchState:
     return SearchState(f_edges, f_vertices, d, w, attachments, objective)
 
 
-def initial_subgraph(g: Graph, b: int, cache: dict[int, int] | None = None) -> SearchState:
+def initial_subgraph(g: Graph, b: int, cache: dict[int, int] | None = None,
+                     path: tuple[int, ...] | None = None) -> SearchState:
     """Seed state: the cycle through a longest-path endpoint and its farthest
     path neighbor, when some endpoint has degree >= 2; otherwise F is empty
-    and the caller degrades to the cover alone."""
+    and the caller degrades to the cover alone. ``path``, when given, must be
+    ``longest_path(g)``."""
     if cache is None:
         cache = {}
     if g.n == 0:
         return _make_state(g, (), cache)
-    path = longest_path(g)
+    if path is None:
+        path = longest_path(g)
     cyc = endpoint_cycle(g, path)
     if cyc is None:
         cyc = endpoint_cycle(g, path[::-1])
@@ -441,19 +444,22 @@ def improve(state: SearchState, g: Graph, b: int,
 # remainder cover
 
 
-def posa_cover(g: Graph, within) -> list[CoverPiece]:
+def posa_cover(g: Graph, within, path: tuple[int, ...] | None = None) -> list[CoverPiece]:
     """Vertex-disjoint cycles, edges and vertices partitioning ``within``.
 
     Repeatedly takes a longest path of the remainder: the endpoint cycle when
     an endpoint has degree >= 2 there, otherwise the path's last edge,
     otherwise a singleton. Every extracted piece contains the closed
     neighborhood of the examined endpoint, so the piece count never exceeds
-    the independence number of the induced subgraph.
+    the independence number of the induced subgraph. ``path``, when given,
+    must be ``longest_path(g, within=within)`` and stands in for the first
+    search.
     """
     remaining = frozenset(within)
     pieces: list[CoverPiece] = []
     while remaining:
-        path = longest_path(g, within=remaining)
+        if path is None:
+            path = longest_path(g, within=remaining)
         cyc = endpoint_cycle(g, path, within=remaining)
         if cyc is None:
             cyc = endpoint_cycle(g, path[::-1], within=remaining)
@@ -468,6 +474,7 @@ def posa_cover(g: Graph, within) -> list[CoverPiece]:
         else:
             pieces.append(CoverPiece("vertex", (path[0],), ()))
             remaining -= {path[0]}
+        path = None
     return pieces
 
 
@@ -483,7 +490,9 @@ def solve(g: Graph, b: int,
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
     cache: dict[int, int] = {}
-    state = initial_subgraph(g, b, cache)
+    # one path search seeds F and, when F stays empty, starts the cover
+    path = longest_path(g) if g.n else None
+    state = initial_subgraph(g, b, cache, path=path)
     fallback = not state.f_edges
     if fallback:
         outcome = ImproveOutcome(state, (), False)
@@ -491,7 +500,7 @@ def solve(g: Graph, b: int,
         outcome = improve(state, g, b, max_steps=max_steps, max_evals=max_evals, cache=cache)
     final = outcome.state
     rest = frozenset(range(g.n)) - final.f_vertices
-    pieces = posa_cover(g, rest)
+    pieces = posa_cover(g, rest, path=path if fallback else None)
     edges = set(final.f_edges)
     for piece in pieces:
         edges.update(piece.edges)

@@ -138,8 +138,9 @@ def _feasible_by_edge_subsets(g: Graph, block: frozenset[int], b: int) -> bool:
 
 
 def min_small_components_naive(g: Graph, b: int, limit: int = NAIVE_LIMIT) -> int:
-    """Same optimum as the DP, by direct enumeration of every set partition of
-    the vertices, each block checked by edge-subset search."""
+    """Same optimum as ``min_small_components_exact``, by direct enumeration
+    of every set partition of the vertices, each block checked by edge-subset
+    search."""
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
     if g.n > limit:

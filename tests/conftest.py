@@ -88,7 +88,8 @@ def corpus_oracle(random_corpus):
 
 @pytest.fixture(scope="session")
 def midsize_corpus() -> list[tuple[str, Graph]]:
-    """A few n in 10..12 instances for the checks that scale past the DP."""
+    """A few n in 10..12 instances, beyond the n <= 9 corpus, for the checks
+    that need no oracle."""
     items = []
     for n, p in ((10, 0.4), (11, 0.35), (12, 0.3)):
         for seed in (1, 2, 3):

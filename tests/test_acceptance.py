@@ -109,7 +109,7 @@ def test_criterion_4_degree_window_regime(random_corpus, corpus_oracle):
 
 
 def test_criterion_5_oracle_cross_equivalence(random_corpus, corpus_oracle):
-    """Subset DP equals partition enumeration on every n <= 8 corpus graph."""
+    """Matching-table scan equals partition enumeration on every n <= 8 corpus graph."""
     start = time.time()
     small = [(instance, g) for instance, g in random_corpus if g.n <= 8]
     assert len(small) >= 300

@@ -59,6 +59,12 @@ def test_solve_declared_vertex_count(tmp_path, capsys):
         assert "exceeds the limit" in capsys.readouterr().err
 
 
+def test_solve_non_finite_family_size(capsys):
+    # rejected at parse time; float("inf") used to escape as OverflowError
+    assert main(["solve", "--family", "path n=inf", "-b", "4"]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_solve_internal_error(capsys, monkeypatch):
     def broken(g, b):
         raise FactorError("component (0, 1, 2): vertex 0 has degree 1, outside [2, 4]")

@@ -2,6 +2,7 @@ import pytest
 
 from pseudofactor.errors import ManifestError
 from pseudofactor.generators import (
+    MANIFEST_EDGE_LIMIT,
     FamilySpec,
     complete_graph,
     cycle_graph,
@@ -11,7 +12,7 @@ from pseudofactor.generators import (
     path_graph,
     pendant_sharpness,
 )
-from pseudofactor.graph import Graph, independence_number, min_degree
+from pseudofactor.graph import DECLARED_VERTEX_LIMIT, Graph, independence_number, min_degree
 
 
 class TestJoinFamily:
@@ -140,6 +141,41 @@ class TestFamilySpec:
     def test_bad_parameter_surfaces_instance(self):
         with pytest.raises(ManifestError, match="cycle"):
             FamilySpec.parse("cycle n=2").build()
+
+    @pytest.mark.parametrize("line", [
+        "complete n=1000000000",
+        "cycle n=65537",
+        "path n=1e12",
+        "gnp n=100000 p=0.001 seed=1",
+        "join h=1 p=40000",
+        "pendant h=40000",
+    ])
+    def test_too_many_vertices_rejected_at_parse(self, line):
+        # parse only: nothing oversized is ever built here
+        with pytest.raises(ManifestError, match="vertices, over the limit"):
+            FamilySpec.parse(line)
+
+    @pytest.mark.parametrize("line", [
+        "complete n=725",
+        "gnp n=725 p=0.001 seed=1",
+        "join h=725 p=1",
+    ])
+    def test_too_many_edges_rejected_at_parse(self, line):
+        with pytest.raises(ManifestError, match="edges, over the limit"):
+            FamilySpec.parse(line)
+
+    def test_size_limits_are_inclusive(self):
+        assert FamilySpec.parse(f"cycle n={DECLARED_VERTEX_LIMIT}").get("n") == DECLARED_VERTEX_LIMIT
+        assert 724 * 723 // 2 <= MANIFEST_EDGE_LIMIT < 725 * 724 // 2
+        FamilySpec.parse("complete n=724")
+
+    def test_non_finite_size_rejected(self):
+        with pytest.raises(ManifestError, match="not finite"):
+            FamilySpec.parse("path n=inf")
+
+    def test_oversized_manifest_line_reports_line_number(self):
+        with pytest.raises(ManifestError, match="line 2: .*over the limit"):
+            parse_manifest("cycle n=5\ncomplete n=1000000000\n")
 
     def test_manifest_parsing(self):
         text = "# corpus\n\ngnp n=6 p=0.5 seed=1\njoin h=1 p=3  # tight\n"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,6 +158,17 @@ def _assert_valid_path(g, path):
         assert g.has_edge(u, v)
 
 
+def _brute_force_longest_path(g, within):
+    """Lexicographically smallest longest path, by scanning vertex orders:
+    ``permutations`` of a sorted pool yields tuples in lexicographic order."""
+    pool = sorted(within)
+    for length in range(len(pool), 0, -1):
+        for order in itertools.permutations(pool, length):
+            if all(g.has_edge(u, v) for u, v in zip(order, order[1:])):
+                return order
+    raise AssertionError("a single vertex is always a path")
+
+
 class TestLongestPath:
     def test_c5_hamilton(self):
         path = longest_path(cycle_graph(5))
@@ -189,6 +202,22 @@ class TestLongestPath:
         on_path = set(path)
         for endpoint in (path[0], path[-1]):
             assert g.adj[endpoint] <= on_path
+
+
+    @given(small_graphs(max_n=7), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_lexicographically_smallest_longest_path(self, g, data):
+        within = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+        assert longest_path(g, within=within) == _brute_force_longest_path(g, within)
+
+    def test_lexicographically_smallest_on_every_small_graph(self):
+        # random graphs rarely tie late in the search; all 1099 labelled
+        # graphs on 1..5 vertices do
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for chosen in range(1 << len(pairs)):
+                g = Graph.build(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+                assert longest_path(g) == _brute_force_longest_path(g, range(n)), g.edges
 
 
 class TestEndpointCycle:

@@ -1,6 +1,8 @@
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_graphs
+from pseudofactor import heuristic
 from pseudofactor.factor import validate_pseudo_factor
 from pseudofactor.generators import (
     complete_graph,
@@ -10,7 +12,7 @@ from pseudofactor.generators import (
     path_graph,
     pendant_sharpness,
 )
-from pseudofactor.graph import Graph, independence_number
+from pseudofactor.graph import Graph, independence_number, longest_path
 from pseudofactor.heuristic import (
     enumerate_moves,
     improve,
@@ -154,6 +156,13 @@ class TestPosaCover:
         covered = [v for piece in pieces for v in piece.vertices]
         assert sorted(covered) == list(range(g.n))
 
+    @given(small_graphs(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_given_first_path_changes_nothing(self, g, data):
+        within = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+        path = longest_path(g, within=within)
+        assert posa_cover(g, within, path=path) == posa_cover(g, within)
+
 
 class TestSolve:
     def test_cycle(self):
@@ -188,3 +197,20 @@ class TestSolve:
     def test_b3_accepted(self):
         result = solve(cycle_graph(5), 3)
         assert result.small_count == 0
+
+    def test_fallback_searches_the_seed_path_once(self, monkeypatch):
+        calls = []
+
+        def counting(g, within=None):
+            calls.append(within)
+            return longest_path(g, within=within)
+
+        monkeypatch.setattr(heuristic, "longest_path", counting)
+        g = pendant_sharpness(cycle_graph(3))
+        assert solve(g, 4).fallback
+        in_solve = len(calls)
+        calls.clear()
+        initial_subgraph(g, 4)
+        posa_cover(g, range(g.n))
+        # the seed and the cover's first search are the same call
+        assert in_solve == len(calls) - 1
