@@ -50,22 +50,48 @@ def min_small_components_exact(g: Graph, b: int, limit: int = ORACLE_LIMIT) -> O
 
     full = g.full_mask
     adjb = g.adj_bits
-    # nu[mask] = maximum matching size of G[mask]: its lowest vertex is
-    # either left single or matched to one of its neighbors in mask
+    # Masks are filled by lowest vertex v, highest v first, as mask = v + rest
+    # with rest above v, so rest and every rest - w are done before mask.
+    # nu[mask] = maximum matching size of G[mask]: v is left single or matched
+    # to a neighbor w in rest, and nu[rest - w] is nu[rest] or one less.
+    # zero/one[mask] = the vertices with no / exactly one neighbor in mask.
     nu = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        rest = mask ^ low
-        best = nu[rest]
-        for w in bits(adjb[low.bit_length() - 1] & rest):
-            best = max(best, nu[rest ^ (1 << w)] + 1)
-        nu[mask] = best
+    zero = [0] * (full + 1)
+    one = [0] * (full + 1)
+    # S = empty, or a set with every induced degree >= 2; spanning_in_range
+    # refuses every other set before searching
+    candidates = [0]
+    for v in range(g.n - 1, -1, -1):
+        bit = 1 << v
+        adj_v = adjb[v]
+        for rest in range(0, full + 1, bit << 1):
+            mask = bit | rest
+            nb = adj_v & rest
+            size = nu[rest]
+            x = nb
+            while x:
+                low = x & -x
+                if nu[rest ^ low] == size:
+                    size += 1
+                    break
+                x ^= low
+            nu[mask] = size
+            z = zero[rest]
+            o = one[rest]
+            if nb:
+                z, o = z & ~nb, (o & ~nb) | (z & nb) | (0 if nb & (nb - 1) else bit)
+                if not z | o:
+                    candidates.append(mask)
+            else:
+                z |= bit
+            zero[mask] = z
+            one[mask] = o
 
     def key(large: int) -> tuple[int, int, int]:
         rest = full ^ large
         return (rest.bit_count() - nu[rest], rest.bit_count() - 2 * nu[rest], large)
 
-    for large in sorted(range(full + 1), key=key):
+    for large in sorted(candidates, key=key):
         chosen = spanning_in_range(g, bits(large), b) if large else ()
         if chosen is not None:
             break

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudofactor.errors import ManifestError
 from pseudofactor.generators import (
@@ -13,6 +15,17 @@ from pseudofactor.generators import (
     pendant_sharpness,
 )
 from pseudofactor.graph import DECLARED_VERTEX_LIMIT, Graph, independence_number, min_degree
+
+
+# manifest text: arbitrary strings, and lines of spec-like tokens
+_MANIFEST_TOKENS = (
+    "gnp", "join", "pendant", "cycle", "complete", "path", "#", "=", "n=5", "n=-3", "n=inf",
+    "n=nan", "n=1e9", "n=", "p=0.5", "p=3", "h=2", "seed=1", "seed=x", "x=1",
+)
+manifest_texts = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.lists(st.sampled_from(_MANIFEST_TOKENS), max_size=5).map(" ".join), max_size=6).map("\n".join),
+)
 
 
 class TestJoinFamily:
@@ -181,6 +194,15 @@ class TestFamilySpec:
         text = "# corpus\n\ngnp n=6 p=0.5 seed=1\njoin h=1 p=3  # tight\n"
         specs = parse_manifest(text)
         assert [s.family for s in specs] == ["gnp", "join"]
+
+    @given(manifest_texts)
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text_raises_only_manifest_errors(self, text):
+        # parse only: a spec that parses may still be costly to build
+        try:
+            parse_manifest(text)
+        except ManifestError:
+            pass
 
     def test_manifest_error_carries_line_number(self):
         with pytest.raises(ManifestError, match="line 2"):

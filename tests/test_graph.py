@@ -23,6 +23,21 @@ from pseudofactor.graph import (
 )
 
 
+# graph-file text: arbitrary strings, and lines of the formats' own tokens so
+# that most examples get past the first line
+_GRAPH_TOKENS = ("n", "p", "edge", "e", "c", "#", "0", "1", "2", "3", "-1", "1.5", "x", str(DECLARED_VERTEX_LIMIT + 1))
+graph_texts = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.lists(st.sampled_from(_GRAPH_TOKENS), max_size=5).map(" ".join), max_size=8).map("\n".join),
+)
+
+
+def _to_dimacs(g: Graph) -> str:
+    lines = ["c rendered by the test", f"p edge {g.n} {len(g.edges)}"]
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges)
+    return "\n".join(lines) + "\n"
+
+
 class TestParsing:
     def test_path_on_three(self):
         g = load_edge_list("n 3\n0 1\n1 2")
@@ -92,6 +107,27 @@ class TestParsing:
     def test_edge_list_round_trip(self):
         g = petersen()
         assert load_edge_list(to_edge_list(g, comments=("petersen",))).edges == g.edges
+
+    @given(small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_edge_list_round_trip_property(self, g):
+        back = load_edge_list(to_edge_list(g))
+        assert (back.n, back.edges) == (g.n, g.edges)
+
+    @given(small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_dimacs_round_trip_property(self, g):
+        back = load_graph_text(_to_dimacs(g))
+        assert (back.n, back.edges) == (g.n, g.edges)
+
+    @given(graph_texts)
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text_raises_only_parse_errors(self, text):
+        for load in (load_graph_text, load_edge_list, load_dimacs):
+            try:
+                load(text)
+            except GraphParseError:
+                pass
 
     def test_build_rejects_bad_edges(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,13 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_graphs
+from pseudofactor import oracle
 from pseudofactor.errors import CapacityError
-from pseudofactor.factor import validate_pseudo_factor
+from pseudofactor.factor import ComponentClass, validate_pseudo_factor
 from pseudofactor.generators import (
     complete_graph,
     cycle_graph,
@@ -12,7 +16,7 @@ from pseudofactor.generators import (
     path_graph,
     pendant_sharpness,
 )
-from pseudofactor.graph import Graph
+from pseudofactor.graph import Graph, bits
 from pseudofactor.oracle import min_small_components_exact, min_small_components_naive
 
 
@@ -63,8 +67,9 @@ class TestExact:
         assert first.witness.edges == second.witness.edges
 
     def test_witness_tie_breaks(self):
-        # P3 has two optima with one singleton each; the lexicographically
-        # smaller block set wins
+        # P3 has two optima with one singleton each, both with S empty; the
+        # matching is rebuilt lowest vertex first, and vertex 0 stays single
+        # because G - 0 still has a matching of the maximum size
         assert min_small_components_exact(path_graph(3), 4).blocks == ((0,), (1, 2))
         # pendant family: three stem edges (no vertex components) beat any
         # optimum that leaves singletons behind
@@ -77,6 +82,111 @@ class TestExact:
             g = gnp(8, 0.45, seed)
             values = [min_small_components_exact(g, b).optimum for b in (2, 4, 5, 6)]
             assert all(earlier >= later for earlier, later in zip(values, values[1:]))
+
+
+def _matching_number(g: Graph, verts: frozenset[int]) -> int:
+    """Maximum matching size of G[verts], by include/exclude over its edges."""
+    edges = [e for e in g.edges if e[0] in verts and e[1] in verts]
+
+    def rec(i: int, used: frozenset[int]) -> int:
+        if i == len(edges):
+            return 0
+        u, v = edges[i]
+        best = rec(i + 1, used)
+        if u not in used and v not in used:
+            best = max(best, 1 + rec(i + 1, used | {u, v}))
+        return best
+
+    return rec(0, frozenset())
+
+
+def _reference_large_part(g: Graph, b: int) -> tuple[int, int]:
+    """(optimum, S) of the first feasible large part S in order of
+    (|R| - nu(R), |R| - 2 nu(R), bitmask of S), R = V - S; S empty always is
+    feasible. Feasibility comes from the naive cross-check's own search."""
+
+    def key(large: int) -> tuple[int, int, int]:
+        rest = frozenset(v for v in range(g.n) if not large >> v & 1)
+        nu = _matching_number(g, rest)
+        return (len(rest) - nu, len(rest) - 2 * nu, large)
+
+    for large in sorted(range(1 << g.n), key=key):
+        block = frozenset(bits(large))
+        if not large or oracle._feasible_by_edge_subsets(g, block, b):
+            return key(large)[0], large
+    raise AssertionError("the empty large part is always feasible")
+
+
+def _large_part(result) -> frozenset[int]:
+    """The vertices of the witness's large components."""
+    return frozenset(v for c in result.witness.components if c.kind is ComponentClass.LARGE for v in c.vertices)
+
+
+def _assert_matches_reference(g: Graph, b: int) -> None:
+    result = min_small_components_exact(g, b)
+    optimum, large = _reference_large_part(g, b)
+    assert result.optimum == optimum, (g.edges, b)
+    assert _large_part(result) == frozenset(bits(large)), (g.edges, b)
+
+
+class TestCandidateOrder:
+    """The witness's large part is the first feasible set in the documented
+    order, whatever the scan skips on the way."""
+
+    def test_every_small_graph(self):
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for chosen in range(1 << len(pairs)):
+                g = Graph.build(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+                for b in (2, 4):
+                    _assert_matches_reference(g, b)
+
+    @pytest.mark.parametrize("b", [2, 4])
+    def test_tight_families(self, b):
+        # the pendant family's optimum leaves its feasible cycle unused
+        for g in (
+            pendant_sharpness(cycle_graph(3)),
+            pendant_sharpness(cycle_graph(4)),
+            join_sharpness(complete_graph(1), 3),
+        ):
+            _assert_matches_reference(g, b)
+
+    @given(small_graphs(max_n=7), st.integers(2, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, g, b):
+        _assert_matches_reference(g, b)
+
+    @pytest.mark.parametrize("b", [2, 4])
+    def test_spanning_search_sees_only_degree_two_sets(self, monkeypatch, b):
+        # the scan hands spanning_in_range (through the module-level name the
+        # traced benchmark rebinds) only sets with every induced degree >= 2,
+        # and stops at the first feasible one
+        calls = []
+        real = oracle.spanning_in_range
+
+        def recorder(g, s, b):
+            verts = frozenset(s)
+            result = real(g, verts, b)
+            calls.append((verts, result))
+            return result
+
+        monkeypatch.setattr(oracle, "spanning_in_range", recorder)
+        graphs = [pendant_sharpness(cycle_graph(3))] + [gnp(9, 0.5, seed) for seed in range(6)]
+        total = 0
+        for g in graphs:
+            calls.clear()
+            result = min_small_components_exact(g, b)
+            for verts, _ in calls:
+                assert len(verts) >= 3
+                assert all(len(g.adj[v] & verts) >= 2 for v in verts), (g.edges, sorted(verts))
+            assert all(r is None for _, r in calls[:-1])
+            large = _large_part(result)
+            if large:
+                assert calls[-1][0] == large and calls[-1][1] is not None
+            else:
+                assert all(r is None for _, r in calls)
+            total += len(calls)
+        assert total > 0
 
 
 class TestNaive:
