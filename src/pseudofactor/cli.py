@@ -6,9 +6,10 @@ Subcommands:
   solve     run the exact oracle and/or the constructive solver on one graph
   verify    run a corpus and check every row against the ceiling
 
-Exit codes: 0 ok, 2 parse error (or invalid option value), 3 capacity
-refusal in strict mode, 4 bound violation, 5 internal error (an invalid
-factor built by the oracle or the solver, or a SOLVER_INCONSISTENT row).
+Exit codes: 0 ok, 2 parse error (or invalid option value, or a path that
+cannot be opened), 3 capacity refusal in strict mode, 4 bound violation,
+5 internal error (an invalid factor built by the oracle or the solver, or a
+SOLVER_INCONSISTENT row).
 """
 
 from __future__ import annotations
@@ -206,7 +207,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
+        # a path the user gave that cannot be opened; other OSErrors propagate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapacityError as exc:

@@ -54,7 +54,6 @@ class SearchState:
     f_edges: frozenset[Edge]
     f_vertices: frozenset[int]
     d_vertices: frozenset[int]
-    w_vertices: frozenset[int]
     attachments: tuple[int, ...]
     objective: tuple[int, int, int]
 
@@ -79,7 +78,6 @@ class HeuristicResult:
     steps: tuple[StepRecord, ...]
     fallback: bool
     budget_exhausted: bool
-    final_objective: tuple[int, int, int]
 
     @property
     def small_count(self) -> int:
@@ -104,13 +102,12 @@ def _make_state(g: Graph, f_edges, cache: dict[int, int]) -> SearchState:
         d = min(comps, key=lambda c: (len(c), min(c)))
     else:
         d = frozenset()
-    w = rest - d
     attachments = tuple(sorted(v for v in f_vertices if g.adj[v] & d))
     objective = (_alpha_rest(g, rest, cache), len(d), len(f_vertices))
-    return SearchState(f_edges, f_vertices, d, w, attachments, objective)
+    return SearchState(f_edges, f_vertices, d, attachments, objective)
 
 
-def initial_subgraph(g: Graph, b: int, cache: dict[int, int] | None = None,
+def initial_subgraph(g: Graph, cache: dict[int, int] | None = None,
                      path: tuple[int, ...] | None = None) -> SearchState:
     """Seed state: the cycle through a longest-path endpoint and its farthest
     path neighbor, when some endpoint has degree >= 2; otherwise F is empty
@@ -236,14 +233,6 @@ def _cycle_within(g: Graph, d: frozenset[int]):
     return None
 
 
-def _f_degrees(f_edges: frozenset[Edge]) -> dict[int, int]:
-    deg: dict[int, int] = {}
-    for u, v in f_edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return deg
-
-
 def _f_adjacency(f_edges: frozenset[Edge]) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {}
     for u, v in f_edges:
@@ -252,11 +241,10 @@ def _f_adjacency(f_edges: frozenset[Edge]) -> dict[int, set[int]]:
     return adj
 
 
-def _deletable_segments(state: SearchState, fdeg: dict[int, int],
-                        fadj: dict[int, set[int]]):
+def _deletable_segments(state: SearchState, fadj: dict[int, set[int]]):
     """Maximal runs of degree-2 F-vertices whose deletion keeps all remaining
     F-degrees >= 2; whole cyclic F-components qualify unconditionally."""
-    deg2 = {v for v in state.f_vertices if fdeg[v] == 2}
+    deg2 = {v for v in state.f_vertices if len(fadj[v]) == 2}
     visited: set[int] = set()
     for seed in sorted(deg2):
         if seed in visited:
@@ -280,7 +268,7 @@ def _deletable_segments(state: SearchState, fdeg: dict[int, int],
         if len(outside) != 2:
             continue
         a, z = outside
-        if a == z and fdeg[a] - 2 < 2:
+        if a == z and len(fadj[a]) - 2 < 2:
             continue
         yield removal
 
@@ -293,7 +281,6 @@ def enumerate_moves(state: SearchState, g: Graph, b: int) -> list[ExchangeMove]:
     moves: list[ExchangeMove] = []
     d = state.d_vertices
     att = state.attachments
-    fdeg = _f_degrees(state.f_edges)
     fadj = _f_adjacency(state.f_edges)
 
     def consider(kind: str, add: tuple[Edge, ...], remove: tuple[Edge, ...]):
@@ -316,10 +303,10 @@ def enumerate_moves(state: SearchState, g: Graph, b: int) -> list[ExchangeMove]:
             if q is None:
                 continue
             q_edges = _path_edges(q)
-            if fdeg[u] <= b - 1:
+            if len(fadj[u]) <= b - 1:
                 consider("X5", cedges + q_edges, ())
             for x in sorted(fadj[u]):
-                if fdeg[x] >= 3:
+                if len(fadj[x]) >= 3:
                     consider("X5", cedges + q_edges, (norm_edge(u, x),))
 
     # X6: D is a tree; loop two of its leaves through a shared F-neighbor
@@ -334,39 +321,27 @@ def enumerate_moves(state: SearchState, g: Graph, b: int) -> list[ExchangeMove]:
                 continue
             p_edges = _path_edges(p)
             for u in commons:
-                if fdeg[u] <= b - 2:
+                if len(fadj[u]) <= b - 2:
                     consider("X6", (norm_edge(u, x0),) + p_edges + (norm_edge(u, y0),), ())
 
-    # connectors between attachment pairs, internal vertices in D
-    connectors: dict[tuple[int, int], tuple[Edge, ...] | None] = {}
-
-    def connector(ui: int, uj: int) -> tuple[Edge, ...] | None:
-        key = (ui, uj)
-        if key not in connectors:
-            p = _path_through(g, d, ui, uj)
-            connectors[key] = _path_edges(p) if p is not None else None
-        return connectors[key]
-
-    # X2: bridge two attachments of degree <= b-1
-    for uk, ul in itertools.combinations(att, 2):
-        if fdeg[uk] <= b - 1 and fdeg[ul] <= b - 1:
-            conn = connector(uk, ul)
-            if conn is not None:
-                consider("X2", conn, ())
-
-    # X1: reroute an F-edge between two attachments through D
+    # moves through the connector of an attachment pair (a shortest path
+    # with internal vertices in D); the sort below puts the kinds in order
     for ui, uj in itertools.combinations(att, 2):
+        p = _path_through(g, d, ui, uj)
+        if p is None:
+            continue
+        conn = _path_edges(p)
+
+        # X2: bridge two attachments of degree <= b-1
+        if len(fadj[ui]) <= b - 1 and len(fadj[uj]) <= b - 1:
+            consider("X2", conn, ())
+
+        # X1: reroute an F-edge between the two attachments through D
         e = norm_edge(ui, uj)
         if e in state.f_edges:
-            conn = connector(ui, uj)
-            if conn is not None:
-                consider("X1", conn, (e,))
+            consider("X1", conn, (e,))
 
-    # X3: detach one F-edge at each of two attachments, reconnect through D
-    for ui, uj in itertools.combinations(att, 2):
-        conn = connector(ui, uj)
-        if conn is None:
-            continue
+        # X3: detach one F-edge at each attachment, reconnect through D
         for x in sorted(fadj[ui]):
             if x == uj:
                 continue
@@ -374,14 +349,14 @@ def enumerate_moves(state: SearchState, g: Graph, b: int) -> list[ExchangeMove]:
                 if y == ui:
                     continue
                 if x == y:
-                    if fdeg[x] < 4:
+                    if len(fadj[x]) < 4:
                         continue
-                elif fdeg[x] < 3 or fdeg[y] < 3:
+                elif len(fadj[x]) < 3 or len(fadj[y]) < 3:
                     continue
                 consider("X3", conn, (norm_edge(ui, x), norm_edge(uj, y)))
 
     # X7: delete a maximal degree-2 segment of F
-    for removal in _deletable_segments(state, fdeg, fadj):
+    for removal in _deletable_segments(state, fadj):
         consider("X7", (), removal)
 
     order = {kind: i for i, kind in enumerate(MOVE_ORDER)}
@@ -389,18 +364,11 @@ def enumerate_moves(state: SearchState, g: Graph, b: int) -> list[ExchangeMove]:
     return moves
 
 
-def apply_move(state: SearchState, move: ExchangeMove, g: Graph, b: int,
-               cache: dict[int, int] | None = None) -> SearchState | None:
-    """State after the move, or None when the rewrite is stale or would break
-    the degree window."""
-    if cache is None:
-        cache = {}
-    if not set(move.remove_edges) <= state.f_edges:
-        return None
+def apply_move(state: SearchState, move: ExchangeMove, g: Graph,
+               cache: dict[int, int]) -> SearchState:
+    """State after a move that ``enumerate_moves`` returned for ``state``;
+    the move is trusted to keep F a degree-[2,b] subgraph."""
     new_edges = (state.f_edges - set(move.remove_edges)) | set(move.add_edges)
-    verts = frozenset(v for e in new_edges for v in e)
-    if not is_2b_subgraph(g, verts, new_edges, b):
-        return None
     return _make_state(g, new_edges, cache)
 
 
@@ -427,8 +395,8 @@ def improve(state: SearchState, g: Graph, b: int,
                 exhausted = True
                 break
             evals += 1
-            candidate = apply_move(state, move, g, b, cache)
-            if candidate is not None and candidate.objective < state.objective:
+            candidate = apply_move(state, move, g, cache)
+            if candidate.objective < state.objective:
                 steps.append(StepRecord(move.kind, state.objective, candidate.objective))
                 state = candidate
                 improved = True
@@ -478,9 +446,7 @@ def posa_cover(g: Graph, within, path: tuple[int, ...] | None = None) -> list[Co
     return pieces
 
 
-def solve(g: Graph, b: int,
-          max_steps: int = DEFAULT_MAX_STEPS,
-          max_evals: int = DEFAULT_MAX_EVALS) -> HeuristicResult:
+def solve(g: Graph, b: int) -> HeuristicResult:
     """Full pipeline: seed, improve, cover the rest, assemble and validate.
 
     The result always validates; its small-component count is at most
@@ -492,12 +458,12 @@ def solve(g: Graph, b: int,
     cache: dict[int, int] = {}
     # one path search seeds F and, when F stays empty, starts the cover
     path = longest_path(g) if g.n else None
-    state = initial_subgraph(g, b, cache, path=path)
+    state = initial_subgraph(g, cache, path=path)
     fallback = not state.f_edges
     if fallback:
         outcome = ImproveOutcome(state, (), False)
     else:
-        outcome = improve(state, g, b, max_steps=max_steps, max_evals=max_evals, cache=cache)
+        outcome = improve(state, g, b, cache=cache)
     final = outcome.state
     rest = frozenset(range(g.n)) - final.f_vertices
     pieces = posa_cover(g, rest, path=path if fallback else None)
@@ -510,5 +476,4 @@ def solve(g: Graph, b: int,
         steps=outcome.steps,
         fallback=fallback,
         budget_exhausted=outcome.budget_exhausted,
-        final_objective=final.objective,
     )

@@ -6,12 +6,15 @@ The exact oracle is the ground truth everywhere; tolerances are exact
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import pseudofactor
 from conftest import CORPUS_B_VALUES, brute_force_alpha
 from pseudofactor.factor import validate_pseudo_factor
 from pseudofactor.generators import complete_graph, cycle_graph, join_sharpness, pendant_sharpness
@@ -191,6 +194,9 @@ def test_criterion_9_report_determinism(tmp_path):
         )
         + "\n"
     )
+    # the child imports the same (stdlib-only) package as this test,
+    # installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(pseudofactor.__file__).parents[1])}
 
     def run(jobs: int, name: str) -> list[str]:
         report = tmp_path / name
@@ -202,6 +208,7 @@ def test_criterion_9_report_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         lines = report.read_text().splitlines()

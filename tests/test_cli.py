@@ -44,6 +44,17 @@ def test_solve_bad_file(tmp_path, capsys):
     assert main(["solve", str(path), "-b", "4"]) == 2
 
 
+def test_directory_paths_are_input_errors(tmp_path, capsys):
+    # a directory where a file is expected is the user's input, not a crash
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("cycle n=5\n")
+    for argv in (["solve", str(tmp_path), "-b", "4"],
+                 ["generate", str(tmp_path), "-o", str(tmp_path / "out")],
+                 ["verify", str(manifest), "-b", "4", "--report", str(tmp_path)]):
+        assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err
+
+
 def test_solve_capacity(tmp_path, capsys):
     path = tmp_path / "big.edges"
     path.write_text(to_edge_list(gnp(18, 0.4, 1)))
