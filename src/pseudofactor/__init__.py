@@ -9,11 +9,9 @@ from .errors import CapacityError, FactorError, GraphParseError, ManifestError, 
 from .factor import (
     ComponentClass,
     FactorComponent,
-    FactorSummary,
     PseudoFactor,
     factor_to_json_dict,
     factor_to_text,
-    has_deg_range_spanning,
     is_2b_subgraph,
     spanning_in_range,
     validate_pseudo_factor,

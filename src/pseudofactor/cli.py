@@ -15,6 +15,8 @@ SOLVER_INCONSISTENT row).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import re
 import sys
 from pathlib import Path
@@ -24,6 +26,7 @@ from .factor import factor_to_text
 from .generators import FamilySpec, parse_manifest
 from .graph import Graph, independence_number, min_degree, read_graph_file, to_edge_list
 from .harness import (
+    MODES,
     run_corpus,
     theorem_bound,
     write_csv,
@@ -129,6 +132,13 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     items = _load_items(args.source)
     b_values = _parse_b_list(args.b)
+    # fail on an unwritable output path before the corpus runs, with the
+    # error that opening it for writing would raise
+    for out in filter(None, (args.report, args.csv)):
+        if Path(out).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+        if not Path(out).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
     run = run_corpus(items, b_values, mode=args.mode, jobs=args.jobs)
     if args.report:
         write_jsonl(args.report, run)
@@ -180,13 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("graph", nargs="?", help="graph file (edge list or DIMACS)")
     p_solve.add_argument("--family", help='family spec, e.g. "gnp n=8 p=0.5 seed=1"')
     p_solve.add_argument("-b", type=int, required=True)
-    p_solve.add_argument("--mode", choices=("oracle", "heuristic", "both"), default="both")
+    p_solve.add_argument("--mode", choices=MODES, default="both")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run a corpus against the ceiling")
     p_verify.add_argument("source", help="manifest file or directory of graph files")
     p_verify.add_argument("-b", required=True, help="comma-separated b values, e.g. 4,5,6")
-    p_verify.add_argument("--mode", choices=("oracle", "heuristic", "both"), default="oracle")
+    p_verify.add_argument("--mode", choices=MODES, default="oracle")
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--report", help="JSONL output path")
     p_verify.add_argument("--csv", help="CSV output path")

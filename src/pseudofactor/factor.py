@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError, FactorError
-from .graph import Edge, Graph, norm_edge, to_mask
+from .graph import Edge, Graph, bits, component_masks, norm_edge, to_mask
 
 #: largest block size accepted by the exact degree-window spanning search
 SPANNING_LIMIT = 20
@@ -31,13 +31,6 @@ class FactorComponent:
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
     kind: ComponentClass
-
-
-@dataclass(frozen=True)
-class FactorSummary:
-    small_count: int
-    large_count: int
-    b: int
 
 
 @dataclass(frozen=True, repr=False)
@@ -63,50 +56,36 @@ class PseudoFactor:
         chosen: set[Edge] = set()
         for u, v in edges:
             e = norm_edge(u, v)
-            if e[1] not in g.adj[e[0]]:
+            if not 0 <= e[0] < g.n or e[1] not in g.adj[e[0]]:
                 raise FactorError(f"chosen edge {e} is not an edge of the graph")
             chosen.add(e)
-        chosen_adj: list[list[int]] = [[] for _ in range(g.n)]
-        for u, v in sorted(chosen):
-            chosen_adj[u].append(v)
-            chosen_adj[v].append(u)
+        chosen_edges = tuple(sorted(chosen))
+        adj_bits = [0] * g.n
+        for u, v in chosen_edges:
+            adj_bits[u] |= 1 << v
+            adj_bits[v] |= 1 << u
 
         components: list[FactorComponent] = []
-        seen = [False] * g.n
-        for start in range(g.n):
-            if seen[start]:
-                continue
-            stack, comp = [start], [start]
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                for w in chosen_adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-                        comp.append(w)
-            comp.sort()
-            comp_set = set(comp)
-            comp_edges = tuple(
-                sorted(e for e in chosen if e[0] in comp_set and e[1] in comp_set)
-            )
+        for mask in component_masks(adj_bits, g.full_mask):
+            comp = tuple(bits(mask))
             if len(comp) == 1:
-                kind = ComponentClass.VERTEX
+                kind, comp_edges = ComponentClass.VERTEX, ()
             elif len(comp) == 2:
-                kind = ComponentClass.EDGE
+                kind, comp_edges = ComponentClass.EDGE, (comp,)  # its one edge
             else:
                 kind = ComponentClass.LARGE
+                comp_edges = tuple(e for e in chosen_edges if mask >> e[0] & 1)
                 for v in comp:
-                    d = len(chosen_adj[v])
+                    d = adj_bits[v].bit_count()
                     if d < 2 or d > b:
                         raise FactorError(
-                            f"component {tuple(comp)}: vertex {v} has degree {d}, "
+                            f"component {comp}: vertex {v} has degree {d}, "
                             f"outside [2, {b}]",
                             component=comp,
                             vertex=v,
                         )
-            components.append(FactorComponent(tuple(comp), comp_edges, kind))
-        return cls(graph=g, edges=tuple(sorted(chosen)), components=tuple(components), b=b)
+            components.append(FactorComponent(comp, comp_edges, kind))
+        return cls(graph=g, edges=chosen_edges, components=tuple(components), b=b)
 
     @property
     def small_count(self) -> int:
@@ -116,9 +95,6 @@ class PseudoFactor:
     def large_count(self) -> int:
         return sum(1 for c in self.components if c.kind is ComponentClass.LARGE)
 
-    def summary(self) -> FactorSummary:
-        return FactorSummary(self.small_count, self.large_count, self.b)
-
     def __repr__(self):
         return (
             f"PseudoFactor(n={self.graph.n}, chosen={len(self.edges)}, "
@@ -126,10 +102,10 @@ class PseudoFactor:
         )
 
 
-def validate_pseudo_factor(g: Graph, edges, b: int) -> FactorSummary:
-    """Summary of ``edges`` as a pseudo [2,b]-factor of ``g``; raises
+def validate_pseudo_factor(g: Graph, edges, b: int) -> PseudoFactor:
+    """``edges`` validated as a pseudo [2,b]-factor of ``g``; raises
     FactorError if any invariant fails."""
-    return PseudoFactor.build(g, edges, b).summary()
+    return PseudoFactor.build(g, edges, b)
 
 
 def is_2b_subgraph(g: Graph, vertices, edges, b: int) -> bool:
@@ -138,7 +114,7 @@ def is_2b_subgraph(g: Graph, vertices, edges, b: int) -> bool:
     vs = frozenset(vertices)
     deg = dict.fromkeys(vs, 0)
     for u, v in set(norm_edge(*e) for e in edges):
-        if u not in vs or v not in vs or v not in g.adj[u]:
+        if u not in vs or v not in vs or not 0 <= u < g.n or v not in g.adj[u]:
             return False
         deg[u] += 1
         deg[v] += 1
@@ -219,13 +195,6 @@ def spanning_in_range(g: Graph, s, b: int, limit: int = SPANNING_LIMIT):
 
     result = search(0, (0,) * k)
     return None if result is None else tuple(sorted(result))
-
-
-def has_deg_range_spanning(g: Graph, s, b: int, limit: int = SPANNING_LIMIT) -> bool:
-    """True iff G[s] has a spanning subgraph with every degree in [2, b].
-
-    Always False for |s| < 3 (such a set cannot form a large component)."""
-    return spanning_in_range(g, s, b, limit=limit) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -72,22 +72,18 @@ class Graph:
             normed.add(norm_edge(u, v))
         edge_tuple = tuple(sorted(normed))
         neigh: list[set[int]] = [set() for _ in range(n)]
+        adj_bits = [0] * n
         for u, v in edge_tuple:
             neigh[u].add(v)
             neigh[v].add(u)
+            adj_bits[u] |= 1 << v
+            adj_bits[v] |= 1 << u
         adj = tuple(frozenset(s) for s in neigh)
-        adj_bits = tuple(to_mask(s) for s in neigh)
-        return cls(n=n, edges=edge_tuple, adj=adj, adj_bits=adj_bits)
+        return cls(n=n, edges=edge_tuple, adj=adj, adj_bits=tuple(adj_bits))
 
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)})"
@@ -285,7 +281,7 @@ def _reachable(adj_bits, start: int, avail: int) -> int:
     return seen
 
 
-def _component_masks(adj_bits, mask: int):
+def component_masks(adj_bits, mask: int):
     """Bitmasks of the connected components of ``mask``, by smallest member."""
     while mask:
         start = (mask & -mask).bit_length() - 1
@@ -343,7 +339,7 @@ def longest_path(g: Graph, within=None, limit: int = LONGEST_PATH_LIMIT) -> tupl
             dfs(u, avail & ~(1 << u))
             path.pop()
 
-    largest = max(c.bit_count() for c in _component_masks(adj, mask))
+    largest = max(c.bit_count() for c in component_masks(adj, mask))
     for s in bits(mask):
         if len(best) == largest:
             break
@@ -382,4 +378,4 @@ def connected_components(g: Graph, within=None) -> list[frozenset[int]]:
     """Partition of ``within`` (default: all vertices) into maximal connected
     sets of the induced subgraph, ordered by smallest member."""
     mask = g.full_mask if within is None else to_mask(within)
-    return [frozenset(bits(comp)) for comp in _component_masks(g.adj_bits, mask)]
+    return [frozenset(bits(comp)) for comp in component_masks(g.adj_bits, mask)]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
 from .errors import CapacityError
@@ -29,21 +29,6 @@ from .heuristic import solve
 from .oracle import min_small_components_exact
 
 REPORT_SCHEMA = 1
-
-CSV_FIELDS = (
-    "instance",
-    "n",
-    "b",
-    "delta",
-    "alpha",
-    "theorem_bound",
-    "oracle_optimum",
-    "heuristic_value",
-    "kl_regime",
-    "isolated_vertices",
-    "b3_no_guarantee",
-    "status",
-)
 
 MODES = ("oracle", "heuristic", "both")
 
@@ -78,6 +63,9 @@ class BoundReport:
         return asdict(self)
 
 
+CSV_FIELDS = tuple(f.name for f in fields(BoundReport))
+
+
 def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "") -> BoundReport:
     """Fully populated report row for one (graph, b).
 
@@ -97,35 +85,26 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "") 
     delta = min_degree(g)
     isolated = delta == 0
     capacity_hit = False
-
     alpha: int | None = None
-    try:
-        alpha = independence_number(g)
-    except CapacityError:
-        capacity_hit = True
-
     bound: int | None = None
     kl = False
-    if alpha is not None and delta >= 1:
-        bound = theorem_bound(alpha, delta, b)
-        kl = 2 * alpha <= b * (delta - 1)
-
     oracle_opt: int | None = None
+    heur: int | None = None
     consistent = True
-    if mode in ("oracle", "both") and not capacity_hit:
-        try:
+    # a refusal at any stage skips every later stage
+    try:
+        alpha = independence_number(g)
+        if delta >= 1:
+            bound = theorem_bound(alpha, delta, b)
+            kl = 2 * alpha <= b * (delta - 1)
+        if mode in ("oracle", "both"):
             exact = min_small_components_exact(g, b)
             oracle_opt = exact.optimum
             consistent = exact.witness.small_count == oracle_opt
-        except CapacityError:
-            capacity_hit = True
-
-    heur: int | None = None
-    if mode in ("heuristic", "both") and not capacity_hit:
-        try:
+        if mode in ("heuristic", "both"):
             heur = solve(g, b).small_count
-        except CapacityError:
-            capacity_hit = True
+    except CapacityError:
+        capacity_hit = True
 
     if heur is not None and not (oracle_opt or 0) <= heur <= alpha:
         consistent = False

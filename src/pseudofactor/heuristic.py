@@ -233,31 +233,11 @@ def _cycle_within(g: Graph, d: frozenset[int]):
     return None
 
 
-def _f_adjacency(f_edges: frozenset[Edge]) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {}
-    for u, v in f_edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    return adj
-
-
-def _deletable_segments(state: SearchState, fadj: dict[int, set[int]]):
+def _deletable_segments(state: SearchState, f: Graph):
     """Maximal runs of degree-2 F-vertices whose deletion keeps all remaining
     F-degrees >= 2; whole cyclic F-components qualify unconditionally."""
-    deg2 = {v for v in state.f_vertices if len(fadj[v]) == 2}
-    visited: set[int] = set()
-    for seed in sorted(deg2):
-        if seed in visited:
-            continue
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            v = stack.pop()
-            for w in fadj[v]:
-                if w in deg2 and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        visited |= comp
+    deg2 = [v for v in state.f_vertices if len(f.adj[v]) == 2]
+    for comp in connected_components(f, deg2):
         inner = {e for e in state.f_edges if e[0] in comp and e[1] in comp}
         boundary = {e for e in state.f_edges if (e[0] in comp) != (e[1] in comp)}
         removal = tuple(sorted(inner | boundary))
@@ -268,7 +248,7 @@ def _deletable_segments(state: SearchState, fadj: dict[int, set[int]]):
         if len(outside) != 2:
             continue
         a, z = outside
-        if a == z and len(fadj[a]) - 2 < 2:
+        if a == z and len(f.adj[a]) - 2 < 2:
             continue
         yield removal
 
@@ -281,7 +261,8 @@ def enumerate_moves(state: SearchState, g: Graph, b: int) -> list[ExchangeMove]:
     moves: list[ExchangeMove] = []
     d = state.d_vertices
     att = state.attachments
-    fadj = _f_adjacency(state.f_edges)
+    f = Graph.build(g.n, state.f_edges)
+    fadj = f.adj
 
     def consider(kind: str, add: tuple[Edge, ...], remove: tuple[Edge, ...]):
         new_edges = (state.f_edges - set(remove)) | set(add)
@@ -356,7 +337,7 @@ def enumerate_moves(state: SearchState, g: Graph, b: int) -> list[ExchangeMove]:
                 consider("X3", conn, (norm_edge(ui, x), norm_edge(uj, y)))
 
     # X7: delete a maximal degree-2 segment of F
-    for removal in _deletable_segments(state, fadj):
+    for removal in _deletable_segments(state, f):
         consider("X7", (), removal)
 
     order = {kind: i for i, kind in enumerate(MOVE_ORDER)}

@@ -55,6 +55,20 @@ def test_directory_paths_are_input_errors(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_verify_checks_output_paths_first(tmp_path, capsys, monkeypatch):
+    # an unwritable report or CSV path fails before any row is computed
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("cycle n=5\n")
+    calls = []
+    monkeypatch.setattr(cli, "run_corpus", lambda *args, **kwargs: calls.append(args))
+    for flag, path in (("--report", tmp_path), ("--csv", tmp_path),
+                       ("--report", tmp_path / "missing" / "r.jsonl"),
+                       ("--csv", tmp_path / "missing" / "r.csv")):
+        assert main(["verify", str(manifest), "-b", "4", flag, str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_solve_capacity(tmp_path, capsys):
     path = tmp_path / "big.edges"
     path.write_text(to_edge_list(gnp(18, 0.4, 1)))

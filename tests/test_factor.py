@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_graphs
 from pseudofactor.errors import CapacityError, FactorError
@@ -10,7 +11,6 @@ from pseudofactor.factor import (
     PseudoFactor,
     factor_to_json_dict,
     factor_to_text,
-    has_deg_range_spanning,
     is_2b_subgraph,
     spanning_in_range,
     validate_pseudo_factor,
@@ -35,6 +35,38 @@ def brute_force_feasible(g, s, b):
         if all(2 <= deg[v] <= b for v in verts):
             return True
     return False
+
+
+def reference_components(n, chosen):
+    """Vertex sets of the components of ``chosen`` on 0..n-1, by flood fill
+    over plain neighbor sets, in smallest-vertex order; plus the neighbors."""
+    nbrs = {v: set() for v in range(n)}
+    for u, v in chosen:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    left = set(range(n))
+    comps = []
+    while left:
+        comp = {min(left)}
+        frontier = list(comp)
+        while frontier:
+            new = nbrs[frontier.pop()] - comp
+            comp |= new
+            frontier.extend(new)
+        left -= comp
+        comps.append(tuple(sorted(comp)))
+    return comps, nbrs
+
+
+@st.composite
+def chosen_edge_lists(draw):
+    """A small graph and a list of its edges, with repeats and either
+    orientation."""
+    g = draw(small_graphs(max_n=8))
+    if not g.edges:
+        return g, []
+    picked = draw(st.lists(st.tuples(st.sampled_from(g.edges), st.booleans())))
+    return g, [(v, u) if flip else (u, v) for (u, v), flip in picked]
 
 
 def k1_join_3k2():
@@ -75,6 +107,35 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate_pseudo_factor(path_graph(3), [], 1)
 
+    def test_negative_endpoint_rejected(self):
+        # vertex -1 must not alias vertex n-1 through negative indexing
+        with pytest.raises(FactorError, match="not an edge"):
+            PseudoFactor.build(cycle_graph(5), [(-1, 0), (0, 1), (1, 2), (2, 3), (3, 4)], 4)
+
+    def test_endpoint_past_n_rejected(self):
+        with pytest.raises(FactorError, match="not an edge"):
+            PseudoFactor.build(cycle_graph(5), [(5, 6)], 4)
+
+    @given(chosen_edge_lists(), st.integers(2, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_build_matches_reference(self, case, b):
+        g, picked = case
+        chosen = sorted({(min(e), max(e)) for e in picked})
+        comps, nbrs = reference_components(g.n, chosen)
+        bad = [(c, v) for c in comps if len(c) >= 3 for v in c if not 2 <= len(nbrs[v]) <= b]
+        if bad:
+            with pytest.raises(FactorError) as err:
+                PseudoFactor.build(g, picked, b)
+            assert (err.value.component, err.value.vertex) == bad[0]
+            return
+        pf = PseudoFactor.build(g, picked, b)
+        assert pf.edges == tuple(chosen)
+        assert [c.vertices for c in pf.components] == comps
+        kinds = {1: ComponentClass.VERTEX, 2: ComponentClass.EDGE}
+        for c in pf.components:
+            assert c.edges == tuple(e for e in chosen if e[0] in c.vertices and e[1] in c.vertices)
+            assert c.kind is kinds.get(len(c.vertices), ComponentClass.LARGE)
+
     def test_component_classification(self):
         g = Graph.build(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
         pf = PseudoFactor.build(g, [(0, 1), (1, 2), (0, 2), (3, 4)], 4)
@@ -103,25 +164,32 @@ class TestIs2bSubgraph:
         g = cycle_graph(5)
         assert not is_2b_subgraph(g, {0, 1}, [(1, 2)], 4)
 
+    def test_endpoint_outside_graph(self):
+        g = cycle_graph(5)
+        # -1 would alias vertex 4, whose neighbors 0 and 3 close a "cycle"
+        cycle = [(-1, 0), (0, 1), (1, 2), (2, 3), (3, -1)]
+        assert not is_2b_subgraph(g, [-1, 0, 1, 2, 3], cycle, 4)
+        assert not is_2b_subgraph(g, range(7), [(5, 6), (4, 5), (4, 6)], 4)
+
 
 class TestSpanning:
     def test_cycle_spans_itself(self):
         g = cycle_graph(5)
-        assert has_deg_range_spanning(g, range(5), 4)
+        assert spanning_in_range(g, range(5), 4) is not None
 
     def test_star_leaves_cannot_reach_two(self):
         star = Graph.build(4, [(0, 1), (0, 2), (0, 3)])
-        assert not has_deg_range_spanning(star, range(4), 4)
+        assert spanning_in_range(star, range(4), 4) is None
 
     def test_hub_join_three_edges_infeasible(self):
         g = k1_join_3k2()
-        assert not has_deg_range_spanning(g, range(7), 4)
+        assert spanning_in_range(g, range(7), 4) is None
         assert not brute_force_feasible(g, range(7), 4)
 
     def test_small_sets_false(self):
         g = cycle_graph(5)
-        assert not has_deg_range_spanning(g, {0, 1}, 4)
-        assert not has_deg_range_spanning(g, {0}, 4)
+        assert spanning_in_range(g, {0, 1}, 4) is None
+        assert spanning_in_range(g, {0}, 4) is None
 
     def test_witness_edges_satisfy_window(self):
         g = complete_graph(6)
@@ -132,21 +200,20 @@ class TestSpanning:
     def test_capacity(self):
         g = complete_graph(6)
         with pytest.raises(CapacityError):
-            has_deg_range_spanning(g, range(6), 3, limit=5)
+            spanning_in_range(g, range(6), 3, limit=5)
 
     @given(small_graphs(min_n=3, max_n=6))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, g):
         for b in (2, 4):
             if len(g.edges) <= 18:
-                assert has_deg_range_spanning(g, range(g.n), b) == brute_force_feasible(
-                    g, range(g.n), b
-                )
+                feasible = spanning_in_range(g, range(g.n), b) is not None
+                assert feasible == brute_force_feasible(g, range(g.n), b)
 
     @given(small_graphs(min_n=3, max_n=7))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_b(self, g):
-        feasible = [has_deg_range_spanning(g, range(g.n), b) for b in (2, 3, 4, 5)]
+        feasible = [spanning_in_range(g, range(g.n), b) is not None for b in (2, 3, 4, 5)]
         for earlier, later in itertools.pairwise(feasible):
             assert not earlier or later
 
@@ -155,7 +222,7 @@ class TestSpanning:
             g = gnp(7, 0.5, seed)
             degs = [len(g.adj[v]) for v in range(g.n)]
             if min(degs) >= 2:
-                assert has_deg_range_spanning(g, range(g.n), max(degs))
+                assert spanning_in_range(g, range(g.n), max(degs)) is not None
 
 
 class TestSerialization:
