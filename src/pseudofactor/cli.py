@@ -139,6 +139,11 @@ def _cmd_verify(args) -> int:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
         if not Path(out).parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    # a reproducer directory may be created later, but not over or under a file
+    if args.reproducer_dir is not None:
+        repro = Path(args.reproducer_dir)
+        if not next(p for p in (repro, *repro.parents) if p.exists()).is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), args.reproducer_dir)
     run = run_corpus(items, b_values, mode=args.mode, jobs=args.jobs)
     if args.report:
         write_jsonl(args.report, run)

@@ -125,14 +125,14 @@ def is_2b_subgraph(g: Graph, vertices, edges, b: int) -> bool:
 # degree-window spanning subgraphs
 
 
-def spanning_in_range(g: Graph, s, b: int, limit: int = SPANNING_LIMIT):
+def spanning_in_range(g: Graph, s, b: int):
     """An edge subset of G[s] giving every vertex of ``s`` degree in [2, b],
     or None if none exists.
 
     Memoized search over the vertices in deficiency order (lowest induced
     degree first): a vertex decides its edges toward later vertices, and any
     vertex whose remaining possible degree cannot reach 2 fails the branch
-    fast. Exact; blocks larger than ``limit`` raise CapacityError.
+    fast. Exact; blocks larger than SPANNING_LIMIT raise CapacityError.
     """
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
@@ -140,8 +140,8 @@ def spanning_in_range(g: Graph, s, b: int, limit: int = SPANNING_LIMIT):
     k = len(verts)
     if k < 3:
         return None
-    if k > limit:
-        raise CapacityError(f"spanning search limited to {limit} vertices, got {k}")
+    if k > SPANNING_LIMIT:
+        raise CapacityError(f"spanning search limited to {SPANNING_LIMIT} vertices, got {k}")
     mask = to_mask(verts)
     induced_deg = {v: (g.adj_bits[v] & mask).bit_count() for v in verts}
     if min(induced_deg.values()) < 2:

@@ -231,18 +231,18 @@ def _greedy_independent(adj_bits, mask: int) -> int:
     return chosen
 
 
-def maximum_independent_set(g: Graph, within=None, limit: int = INDEPENDENCE_LIMIT) -> frozenset[int]:
+def maximum_independent_set(g: Graph, within=None) -> frozenset[int]:
     """A maximum independent set of g (restricted to ``within`` if given).
 
     Exact branch and bound: branch on a highest-degree vertex (in/out of the
     set), prune with the trivial size bound, seed with the min-degree greedy
     set. Guaranteed correct for every instance it accepts; instances above
-    ``limit`` vertices raise CapacityError.
+    INDEPENDENCE_LIMIT vertices raise CapacityError.
     """
     mask = g.full_mask if within is None else to_mask(within)
-    if mask.bit_count() > limit:
+    if mask.bit_count() > INDEPENDENCE_LIMIT:
         raise CapacityError(
-            f"independence search limited to {limit} vertices, got {mask.bit_count()}"
+            f"independence search limited to {INDEPENDENCE_LIMIT} vertices, got {mask.bit_count()}"
         )
     adj = g.adj_bits
     best_set = _greedy_independent(adj, mask)
@@ -264,8 +264,8 @@ def maximum_independent_set(g: Graph, within=None, limit: int = INDEPENDENCE_LIM
     return frozenset(bits(best_set))
 
 
-def independence_number(g: Graph, within=None, limit: int = INDEPENDENCE_LIMIT) -> int:
-    return len(maximum_independent_set(g, within=within, limit=limit))
+def independence_number(g: Graph, within=None) -> int:
+    return len(maximum_independent_set(g, within=within))
 
 
 def _reachable(adj_bits, start: int, avail: int) -> int:
@@ -290,7 +290,7 @@ def component_masks(adj_bits, mask: int):
         mask &= ~comp
 
 
-def longest_path(g: Graph, within=None, limit: int = LONGEST_PATH_LIMIT) -> tuple[int, ...]:
+def longest_path(g: Graph, within=None) -> tuple[int, ...]:
     """The lexicographically smallest path (distinct vertices, consecutive
     adjacent) among those with the most vertices.
 
@@ -303,14 +303,14 @@ def longest_path(g: Graph, within=None, limit: int = LONGEST_PATH_LIMIT) -> tupl
     where ``ends`` counts the vertices of R with exactly one neighbor in
     R + v: such a vertex can only be the last one of the path. Start
     vertices stop once ``best`` spans a largest component. Exponential;
-    refuses instances above ``limit`` vertices.
+    refuses instances above LONGEST_PATH_LIMIT vertices.
     """
     mask = g.full_mask if within is None else to_mask(within)
     k = mask.bit_count()
     if k == 0:
         raise ValueError("longest path of an empty vertex set is undefined")
-    if k > limit:
-        raise CapacityError(f"longest-path search limited to {limit} vertices, got {k}")
+    if k > LONGEST_PATH_LIMIT:
+        raise CapacityError(f"longest-path search limited to {LONGEST_PATH_LIMIT} vertices, got {k}")
     adj = g.adj_bits
     best: list[int] = []
     path: list[int] = []

@@ -12,7 +12,6 @@ the assembled factor never has more than alpha(G) small components.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .factor import PseudoFactor, is_2b_subgraph
@@ -32,7 +31,7 @@ DEFAULT_MAX_EVALS = 20000
 
 #: move kinds, in the order they are tried (component-absorbing first,
 #: degree-shuffling next, deletion last)
-MOVE_ORDER = ("X4", "X5", "X6", "X2", "X1", "X3", "X7")
+MOVE_ORDER = ("X4", "X6", "X2", "X1", "X3", "X7")
 
 
 @dataclass(frozen=True)
@@ -159,41 +158,13 @@ def _path_through(g: Graph, allowed: frozenset[int], src: int, dst: int,
     return None
 
 
-def _path_to_targets(g: Graph, allowed: frozenset[int], src: int,
-                     targets: frozenset[int]) -> list[int] | None:
-    """Shortest path from src to any vertex of ``targets`` with internal
-    vertices in ``allowed`` (an edge when src touches a target directly)."""
-    direct = g.adj[src] & targets
-    if direct:
-        return [src, min(direct)]
-    parent: dict[int, int | None] = {}
-    queue: deque[int] = deque()
-    for v in sorted(g.adj[src] & allowed):
-        parent[v] = None
-        queue.append(v)
-    while queue:
-        v = queue.popleft()
-        hit = g.adj[v] & targets
-        if hit:
-            inner = [v]
-            while parent[inner[-1]] is not None:
-                inner.append(parent[inner[-1]])
-            inner.reverse()
-            return [src] + inner + [min(hit)]
-        for w in sorted(g.adj[v] & allowed):
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    return None
-
-
 def _path_edges(path: list[int]) -> tuple[Edge, ...]:
     return tuple(norm_edge(path[i], path[i + 1]) for i in range(len(path) - 1))
 
 
 def _cycle_within(g: Graph, d: frozenset[int]):
-    """A cycle inside G[d]: the longest-path endpoint cycle when available,
-    otherwise any cycle found by DFS. None when G[d] is a forest."""
+    """The edges of a cycle inside G[d]: the longest-path endpoint cycle when
+    available, otherwise any cycle found by DFS. None when G[d] is a forest."""
     if len(d) < 3:
         return None
     path = longest_path(g, within=d)
@@ -201,7 +172,7 @@ def _cycle_within(g: Graph, d: frozenset[int]):
     if cyc is None:
         cyc = endpoint_cycle(g, path[::-1], within=d)
     if cyc is not None:
-        return cyc
+        return cyc[1]
 
     # all longest-path endpoints have degree <= 1 in d; hunt any cycle by DFS
     done: set[int] = set()
@@ -229,7 +200,7 @@ def _cycle_within(g: Graph, d: frozenset[int]):
             continue
         cycle = dfs(root, -1)
         if cycle is not None:
-            return frozenset(cycle), _path_edges(cycle) + (norm_edge(cycle[-1], cycle[0]),)
+            return _path_edges(cycle) + (norm_edge(cycle[-1], cycle[0]),)
     return None
 
 
@@ -259,10 +230,6 @@ def enumerate_moves(state: SearchState, g: Graph, b: int) -> list[ExchangeMove]:
     if not state.d_vertices:
         return []
     moves: list[ExchangeMove] = []
-    d = state.d_vertices
-    att = state.attachments
-    f = Graph.build(g.n, state.f_edges)
-    fadj = f.adj
 
     def consider(kind: str, add: tuple[Edge, ...], remove: tuple[Edge, ...]):
         new_edges = (state.f_edges - set(remove)) | set(add)
@@ -271,27 +238,22 @@ def enumerate_moves(state: SearchState, g: Graph, b: int) -> list[ExchangeMove]:
             moves.append(ExchangeMove(kind, tuple(sorted(set(add))),
                                       tuple(sorted(set(remove)))))
 
+    d = state.d_vertices
     cyc = _cycle_within(g, d)
 
-    # X4: absorb a cycle of D into F
+    # X4: absorb a cycle of D into F. Every move but X7 keeps V(F) and adds
+    # part of D, so alpha(G - F) cannot rise and, if it stays, |D| drops: X4
+    # always improves, and as the first kind it is the only one improve tries.
     if cyc is not None:
-        cverts, cedges = cyc
-        consider("X4", cedges, ())
+        consider("X4", cyc, ())
+        return moves
 
-        # X5: hook the cycle onto F through a connector from an attachment
-        for u in att:
-            q = _path_to_targets(g, d - cverts, u, cverts)
-            if q is None:
-                continue
-            q_edges = _path_edges(q)
-            if len(fadj[u]) <= b - 1:
-                consider("X5", cedges + q_edges, ())
-            for x in sorted(fadj[u]):
-                if len(fadj[x]) >= 3:
-                    consider("X5", cedges + q_edges, (norm_edge(u, x),))
+    att = state.attachments
+    f = Graph.build(g.n, state.f_edges)
+    fadj = f.adj
 
     # X6: D is a tree; loop two of its leaves through a shared F-neighbor
-    if cyc is None and len(d) >= 2:
+    if len(d) >= 2:
         d_leaves = sorted(v for v in d if len(g.adj[v] & d) == 1)
         for x0, y0 in itertools.combinations(d_leaves, 2):
             commons = sorted(g.adj[x0] & g.adj[y0] & state.f_vertices)

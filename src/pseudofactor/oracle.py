@@ -32,7 +32,7 @@ class OracleResult:
     blocks: tuple[tuple[int, ...], ...]
 
 
-def min_small_components_exact(g: Graph, b: int, limit: int = ORACLE_LIMIT) -> OracleResult:
+def min_small_components_exact(g: Graph, b: int) -> OracleResult:
     """Minimum count of edge/vertex components over all pseudo [2,b]-factors,
     with a witness factor attaining it; ``blocks`` are the witness's
     component vertex tuples.
@@ -45,8 +45,8 @@ def min_small_components_exact(g: Graph, b: int, limit: int = ORACLE_LIMIT) -> O
     """
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
-    if g.n > limit:
-        raise CapacityError(f"exact oracle limited to {limit} vertices, got {g.n}")
+    if g.n > ORACLE_LIMIT:
+        raise CapacityError(f"exact oracle limited to {ORACLE_LIMIT} vertices, got {g.n}")
 
     full = g.full_mask
     adjb = g.adj_bits
@@ -163,14 +163,14 @@ def _feasible_by_edge_subsets(g: Graph, block: frozenset[int], b: int) -> bool:
     return rec(0)
 
 
-def min_small_components_naive(g: Graph, b: int, limit: int = NAIVE_LIMIT) -> int:
+def min_small_components_naive(g: Graph, b: int) -> int:
     """Same optimum as ``min_small_components_exact``, by direct enumeration
     of every set partition of the vertices, each block checked by edge-subset
     search."""
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
-    if g.n > limit:
-        raise CapacityError(f"naive oracle limited to {limit} vertices, got {g.n}")
+    if g.n > NAIVE_LIMIT:
+        raise CapacityError(f"naive oracle limited to {NAIVE_LIMIT} vertices, got {g.n}")
     if g.n == 0:
         return 0
 

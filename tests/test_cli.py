@@ -56,14 +56,17 @@ def test_directory_paths_are_input_errors(tmp_path, capsys):
 
 
 def test_verify_checks_output_paths_first(tmp_path, capsys, monkeypatch):
-    # an unwritable report or CSV path fails before any row is computed
+    # an unwritable report, CSV or reproducer path fails before any row is
+    # computed
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("cycle n=5\n")
     calls = []
     monkeypatch.setattr(cli, "run_corpus", lambda *args, **kwargs: calls.append(args))
     for flag, path in (("--report", tmp_path), ("--csv", tmp_path),
                        ("--report", tmp_path / "missing" / "r.jsonl"),
-                       ("--csv", tmp_path / "missing" / "r.csv")):
+                       ("--csv", tmp_path / "missing" / "r.csv"),
+                       ("--reproducer-dir", manifest),
+                       ("--reproducer-dir", manifest / "repro" / "deeper")):
         assert main(["verify", str(manifest), "-b", "4", flag, str(path)]) == 2
         assert "error:" in capsys.readouterr().err
     assert calls == []
@@ -184,8 +187,8 @@ def test_verify_strict_capacity(tmp_path, capsys):
 def test_verify_violation_exit_code(tmp_path, capsys, monkeypatch):
     real = min_small_components_exact
 
-    def inflated(g, b, limit=15):
-        result = real(g, b, limit=limit)
+    def inflated(g, b):
+        result = real(g, b)
         return OracleResult(result.optimum + 99, result.witness, result.blocks)
 
     monkeypatch.setattr(harness, "min_small_components_exact", inflated)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import small_graphs
 from pseudofactor.errors import CapacityError, FactorError
 from pseudofactor.factor import (
+    SPANNING_LIMIT,
     ComponentClass,
     PseudoFactor,
     factor_to_json_dict,
@@ -198,9 +199,11 @@ class TestSpanning:
         assert is_2b_subgraph(g, range(6), chosen, 3)
 
     def test_capacity(self):
-        g = complete_graph(6)
-        with pytest.raises(CapacityError):
-            spanning_in_range(g, range(6), 3, limit=5)
+        over = SPANNING_LIMIT + 1
+        with pytest.raises(CapacityError, match=f"limited to {SPANNING_LIMIT} vertices, got {over}"):
+            spanning_in_range(complete_graph(over), range(over), 3)
+        g, s = complete_graph(SPANNING_LIMIT), range(SPANNING_LIMIT)
+        assert is_2b_subgraph(g, s, spanning_in_range(g, s, 3), 3)
 
     @given(small_graphs(min_n=3, max_n=6))
     @settings(max_examples=60, deadline=None)

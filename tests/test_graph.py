@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_alpha, petersen, small_graphs
 from pseudofactor.errors import CapacityError, GraphParseError
-from pseudofactor.generators import complete_graph, cycle_graph
+from pseudofactor.generators import complete_graph, cycle_graph, path_graph
 from pseudofactor.graph import (
     DECLARED_VERTEX_LIMIT,
+    INDEPENDENCE_LIMIT,
+    LONGEST_PATH_LIMIT,
     Graph,
     connected_components,
     endpoint_cycle,
@@ -180,8 +182,10 @@ class TestIndependence:
         assert independence_number(g, within=()) == 0
 
     def test_capacity(self):
-        with pytest.raises(CapacityError):
-            independence_number(petersen(), limit=9)
+        over = INDEPENDENCE_LIMIT + 1
+        with pytest.raises(CapacityError, match=f"limited to {INDEPENDENCE_LIMIT} vertices, got {over}"):
+            independence_number(cycle_graph(over))
+        assert independence_number(cycle_graph(INDEPENDENCE_LIMIT)) == INDEPENDENCE_LIMIT // 2
 
     @given(small_graphs())
     def test_matches_brute_force(self, g):
@@ -222,8 +226,10 @@ class TestLongestPath:
         assert len(longest_path(g)) == 2
 
     def test_capacity(self):
-        with pytest.raises(CapacityError):
-            longest_path(petersen(), limit=9)
+        over = LONGEST_PATH_LIMIT + 1
+        with pytest.raises(CapacityError, match=f"limited to {LONGEST_PATH_LIMIT} vertices, got {over}"):
+            longest_path(path_graph(over))
+        assert len(longest_path(path_graph(LONGEST_PATH_LIMIT))) == LONGEST_PATH_LIMIT
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

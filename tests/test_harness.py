@@ -97,8 +97,8 @@ class TestVerifyInstance:
         # b = 3 carries no guarantee, so only the witness check can catch it
         real = min_small_components_exact
 
-        def shifted(g, b, limit=15):
-            result = real(g, b, limit=limit)
+        def shifted(g, b):
+            result = real(g, b)
             return OracleResult(result.optimum + 1, result.witness, result.blocks)
 
         monkeypatch.setattr(harness, "min_small_components_exact", shifted)
@@ -108,8 +108,8 @@ class TestVerifyInstance:
     def test_bound_violation_takes_precedence(self, monkeypatch):
         real = min_small_components_exact
 
-        def inflated(g, b, limit=15):
-            result = real(g, b, limit=limit)
+        def inflated(g, b):
+            result = real(g, b)
             return OracleResult(result.optimum + 99, result.witness, result.blocks)
 
         monkeypatch.setattr(harness, "min_small_components_exact", inflated)
@@ -183,8 +183,8 @@ class TestRunCorpus:
         # ceiling to exercise the loud-failure path
         real = min_small_components_exact
 
-        def inflated(g, b, limit=15):
-            result = real(g, b, limit=limit)
+        def inflated(g, b):
+            result = real(g, b)
             return OracleResult(result.optimum + 99, result.witness, result.blocks)
 
         monkeypatch.setattr(harness, "min_small_components_exact", inflated)

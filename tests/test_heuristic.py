@@ -1,4 +1,4 @@
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_graphs
@@ -114,6 +114,37 @@ class TestEnumerateMoves:
             ranks = [rank[k] for k in kinds]
             assert ranks == sorted(ranks), kinds
         assert any(len({"X1", "X2", "X3"} & set(kinds)) >= 2 for kinds in per_state)
+
+    @given(st.integers(5, 12), st.sampled_from((0.25, 0.3, 0.35, 0.4, 0.5)),
+           st.integers(0, 10**6), st.integers(2, 6))
+    @example(8, 0.35, 1, 4)  # each example reaches a D that holds a cycle
+    @example(11, 0.35, 5, 4)
+    @example(9, 0.35, 10, 2)
+    @settings(max_examples=150, deadline=None)
+    def test_cycle_in_d_leaves_x4_alone(self, n, p, seed, b):
+        # every move but X7 keeps V(F) and adds part of D, so alpha(G - F)
+        # cannot rise and, if it stays, |D| drops; X4 therefore always wins
+        g = gnp(n, p, seed)
+        state = initial_subgraph(g)
+        if not state.f_edges:
+            return  # solve covers G directly and never calls improve
+        cache: dict[int, int] = {}
+        while state.d_vertices:
+            moves = enumerate_moves(state, g, b)
+            d = state.d_vertices
+            # D is connected, so it holds a cycle iff |E(G[D])| >= |D|
+            if sum(u in d and v in d for u, v in g.edges) >= len(d):
+                assert [m.kind for m in moves] == ["X4"]
+            after = [apply_move(state, m, g, cache) for m in moves]
+            for move, candidate in zip(moves, after):
+                if move.kind != "X7":
+                    assert candidate.objective < state.objective, move
+            # walk on as improve does: the first strictly better state
+            better = [c for c in after if c.objective < state.objective]
+            if not better:
+                break
+            state = better[0]
+
 
 class TestImprove:
     def test_cycle_unchanged(self):

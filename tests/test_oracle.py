@@ -41,9 +41,15 @@ class TestExact:
         assert result.optimum == 0
         assert result.blocks == ()
 
-    def test_capacity(self):
-        with pytest.raises(CapacityError):
-            min_small_components_exact(complete_graph(6), 4, limit=5)
+    def test_capacity(self, monkeypatch):
+        over = oracle.ORACLE_LIMIT + 1
+        with pytest.raises(CapacityError, match=f"limited to {oracle.ORACLE_LIMIT} vertices, got {over}"):
+            min_small_components_exact(cycle_graph(over), 4)
+        assert min_small_components_exact(cycle_graph(oracle.ORACLE_LIMIT), 4).optimum == 0
+        # the limit is read at call time, so patching the constant moves it
+        monkeypatch.setattr(oracle, "ORACLE_LIMIT", 5)
+        with pytest.raises(CapacityError, match="limited to 5 vertices, got 6"):
+            min_small_components_exact(complete_graph(6), 4)
 
     def test_witness_round_trip(self):
         for seed in range(10):
