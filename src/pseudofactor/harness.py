@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import asdict, dataclass, fields
-from datetime import datetime, timezone
+from functools import cached_property
 
 from .errors import CapacityError
-from .graph import Graph, independence_number, min_degree, to_edge_list
+from .graph import Graph, independence_number, longest_path, min_degree, to_edge_list
 from .heuristic import solve
 from .oracle import min_small_components_exact
 
@@ -66,14 +66,34 @@ class BoundReport:
 CSV_FIELDS = tuple(f.name for f in fields(BoundReport))
 
 
-def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "") -> BoundReport:
+class GraphFacts:
+    """The facts of one graph that do not depend on b, each computed on
+    first use and then shared by every b row of the graph. A search that
+    refuses stores nothing, so every row that asks again is refused again."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+
+    @cached_property
+    def alpha(self) -> int:
+        return independence_number(self.g)
+
+    @cached_property
+    def path(self) -> tuple[int, ...]:
+        """``longest_path(g)``, the solver's seed path."""
+        return longest_path(self.g)
+
+
+def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
+                    facts: GraphFacts | None = None) -> BoundReport:
     """Fully populated report row for one (graph, b).
 
     Capacity refusals become status "capacity_skipped", never a silently
     truncated answer. Bound checking needs delta >= 1; isolated vertices set a
     flag and make the row informational. Values that break
     oracle <= heuristic <= alpha, or an oracle witness whose small count is
-    not the optimum, make the row SOLVER_INCONSISTENT.
+    not the optimum, make the row SOLVER_INCONSISTENT. ``facts``, when given,
+    must be ``GraphFacts(g)``; other rows of the same graph may share it.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -81,6 +101,8 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "") 
         raise ValueError("cannot verify an empty graph")
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
+    if facts is None:
+        facts = GraphFacts(g)
 
     delta = min_degree(g)
     isolated = delta == 0
@@ -93,7 +115,7 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "") 
     consistent = True
     # a refusal at any stage skips every later stage
     try:
-        alpha = independence_number(g)
+        alpha = facts.alpha
         if delta >= 1:
             bound = theorem_bound(alpha, delta, b)
             kl = 2 * alpha <= b * (delta - 1)
@@ -102,7 +124,7 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "") 
             oracle_opt = exact.optimum
             consistent = exact.witness.small_count == oracle_opt
         if mode in ("heuristic", "both"):
-            heur = solve(g, b).small_count
+            heur = solve(g, b, path=facts.path).small_count
     except CapacityError:
         capacity_hit = True
 
@@ -149,9 +171,11 @@ class CorpusRun:
     summary: dict
 
 
-def _verify_task(task) -> BoundReport:
-    instance, g, b, mode = task
-    return verify_instance(g, b, mode=mode, instance=instance)
+def _verify_graph(task) -> list[BoundReport]:
+    """The rows of one graph, in ``b_values`` order, sharing its facts."""
+    instance, g, b_values, mode = task
+    facts = GraphFacts(g)
+    return [verify_instance(g, b, mode=mode, instance=instance, facts=facts) for b in b_values]
 
 
 def summarize(reports) -> dict:
@@ -186,19 +210,24 @@ def run_corpus(items, b_values, mode: str = "oracle", jobs: int = 1) -> CorpusRu
     """One report per (instance, b), in manifest order whatever the worker
     count; plus the aggregate summary.
 
-    ``items`` is a sequence of (instance_id, Graph). Workers share nothing
-    mutable, so parallel and serial runs produce identical reports. The pool
-    never has more workers than tasks or CPUs.
+    ``items`` is a sequence of (instance_id, Graph). A task is one graph with
+    all its b values. Workers share nothing mutable, so parallel and serial
+    runs produce identical reports. The pool never has more workers than
+    graphs or CPUs, and a serial run never imports it.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = [(instance, g, b, mode) for instance, g in items for b in b_values]
+    b_values = tuple(b_values)
+    tasks = [(instance, g, b_values, mode) for instance, g in items]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        reports = [_verify_task(t) for t in tasks]
+        per_graph = [_verify_graph(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_verify_task, tasks, chunksize=1))
+            per_graph = list(pool.map(_verify_graph, tasks, chunksize=1))
+    reports = [r for rows in per_graph for r in rows]
     return CorpusRun(tuple(reports), summarize(reports))
 
 
@@ -233,7 +262,7 @@ def write_reproducers(run: CorpusRun, items, out_dir) -> list[str]:
 
 
 def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def jsonl_body_lines(run: CorpusRun) -> list[str]:

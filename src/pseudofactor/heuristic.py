@@ -389,18 +389,21 @@ def posa_cover(g: Graph, within, path: tuple[int, ...] | None = None) -> list[Co
     return pieces
 
 
-def solve(g: Graph, b: int) -> HeuristicResult:
+def solve(g: Graph, b: int, path: tuple[int, ...] | None = None) -> HeuristicResult:
     """Full pipeline: seed, improve, cover the rest, assemble and validate.
 
     The result always validates; its small-component count is at most
     alpha(G). b = 2 and b = 3 are accepted (the degree window is meaningful
     for any b >= 2); only the bound guarantees are specific to other b.
+    ``path``, when given, must be ``longest_path(g)``; it does not depend on
+    b, so calls for several b may share it.
     """
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
     cache: dict[int, int] = {}
     # one path search seeds F and, when F stays empty, starts the cover
-    path = longest_path(g) if g.n else None
+    if path is None and g.n:
+        path = longest_path(g)
     state = initial_subgraph(g, cache, path=path)
     fallback = not state.f_edges
     if fallback:

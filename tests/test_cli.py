@@ -165,7 +165,7 @@ def test_verify_solver_inconsistent_exit_code(tmp_path, capsys, monkeypatch):
     class Impossible:
         small_count = 99  # above alpha(C5) = 2
 
-    monkeypatch.setattr(harness, "solve", lambda g, b: Impossible())
+    monkeypatch.setattr(harness, "solve", lambda g, b, path=None: Impossible())
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("cycle n=5\n")
     report = tmp_path / "report.jsonl"

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pseudofactor.graph as graph_module
 import pseudofactor.harness as harness
+from pseudofactor import heuristic
 from pseudofactor.generators import complete_graph, cycle_graph, gnp, join_sharpness, path_graph
 from pseudofactor.graph import Graph
 from pseudofactor.harness import (
@@ -17,6 +23,43 @@ from pseudofactor.harness import (
     write_reproducers,
 )
 from pseudofactor.oracle import OracleResult, min_small_components_exact
+
+
+def fake_pool(sizes: list):
+    """A stand-in for ProcessPoolExecutor that records each requested size in
+    ``sizes`` and maps in this process, so no pool starts for real."""
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    return FakePool
+
+
+def spy_full_graph(monkeypatch, name: str) -> list[Graph]:
+    """Record the graph of every call of ``graph.<name>`` without ``within``,
+    through each module that binds the function."""
+    original = getattr(graph_module, name)
+    calls = []
+
+    def spy(g, within=None):
+        if within is None:
+            calls.append(g)
+        return original(g, within=within)
+
+    for module in (graph_module, harness, heuristic):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 class TestTheoremBound:
@@ -88,7 +131,7 @@ class TestVerifyInstance:
         class Impossible:
             small_count = value
 
-        monkeypatch.setattr(harness, "solve", lambda g, b: Impossible())
+        monkeypatch.setattr(harness, "solve", lambda g, b, path=None: Impossible())
         report = verify_instance(cycle_graph(5), 4, mode="both")
         assert report.heuristic_value == value
         assert report.status == "SOLVER_INCONSISTENT"
@@ -152,21 +195,7 @@ class TestRunCorpus:
         # never start a large pool for real: a fake executor records the
         # requested size and maps serially
         sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", fake_pool(sizes))
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
         items = [(f"c{n}", cycle_graph(n)) for n in (4, 5, 6, 7)]
         serial = run_corpus(items, [4], jobs=1)
@@ -177,6 +206,40 @@ class TestRunCorpus:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         run_corpus(items, [4], jobs=8)  # unknown CPU count: serial
         assert sizes == [3, 2, 2]
+
+    def test_b_rows_share_alpha_and_seed_path(self, monkeypatch):
+        items = [(f"gnp {s}", gnp(8, 0.45, s)) for s in range(4)]
+        expected = [
+            verify_instance(g, b, mode="both", instance=instance)
+            for instance, g in items
+            for b in (4, 5, 6)
+        ]
+        alpha_calls = spy_full_graph(monkeypatch, "independence_number")
+        path_calls = spy_full_graph(monkeypatch, "longest_path")
+        sizes = []
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", fake_pool(sizes))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        graphs = [g for _, g in items]
+        for jobs in (1, 2):  # serial, then per-graph tasks through the pool
+            alpha_calls.clear()
+            path_calls.clear()
+            run = run_corpus(items, [4, 5, 6], mode="both", jobs=jobs)
+            assert list(run.reports) == expected
+            assert alpha_calls == graphs
+            assert path_calls == graphs
+        assert sizes == [2]
+
+    def test_refusals_are_not_shared(self, monkeypatch):
+        path_calls = spy_full_graph(monkeypatch, "longest_path")
+        over_path = [("n19", gnp(19, 0.3, 1))]
+        run = run_corpus(over_path, [4, 5, 6], mode="heuristic")
+        assert [r.status for r in run.reports] == ["capacity_skipped"] * 3
+        assert len(path_calls) == 3  # each row asks again and is refused again
+        path_calls.clear()
+        over_oracle = [("n16", gnp(16, 0.3, 1))]
+        run = run_corpus(over_oracle, [4, 5, 6], mode="both")
+        assert [r.status for r in run.reports] == ["capacity_skipped"] * 3
+        assert path_calls == []  # the oracle refuses before the solver runs
 
     def test_violation_detection_and_reproducer(self, tmp_path, monkeypatch):
         # the guarantee holds on real graphs, so fake an optimum above the
@@ -196,6 +259,22 @@ class TestRunCorpus:
         assert len(written) == 1
         text = (tmp_path / "violation_0000.edges").read_text()
         assert "b: 4" in text and "n 5" in text
+
+
+def test_import_leaves_pool_and_datetime_unloaded():
+    # a serial run needs neither; the pool is imported when one starts
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, pseudofactor; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'datetime') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestReports:

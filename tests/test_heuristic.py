@@ -271,6 +271,16 @@ class TestSolve:
         result = solve(cycle_graph(5), 3)
         assert result.small_count == 0
 
+    @given(small_graphs(max_n=10), st.integers(2, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_given_seed_path_changes_nothing(self, g, b):
+        given_path = solve(g, b, path=longest_path(g))
+        own = solve(g, b)
+        assert given_path.factor.edges == own.factor.edges
+        assert given_path.steps == own.steps
+        assert given_path.fallback == own.fallback
+        assert given_path.budget_exhausted == own.budget_exhausted
+
     def test_fallback_searches_the_seed_path_once(self, monkeypatch):
         calls = []
 
