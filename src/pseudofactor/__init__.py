@@ -53,6 +53,7 @@ from .heuristic import (
     ExchangeMove,
     HeuristicResult,
     SearchState,
+    SolveMemo,
     enumerate_moves,
     improve,
     initial_subgraph,

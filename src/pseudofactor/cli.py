@@ -8,8 +8,9 @@ Subcommands:
 
 Exit codes: 0 ok, 2 parse error (or invalid option value, or a path that
 cannot be opened), 3 capacity refusal in strict mode, 4 bound violation,
-5 internal error (an invalid factor built by the oracle or the solver, or a
-SOLVER_INCONSISTENT row).
+5 internal error (an invalid factor built by the oracle or the solver, or
+values that break oracle <= solver <= alpha or the witness's optimum: a
+SOLVER_INCONSISTENT row in verify, a SOLVER INCONSISTENT line in solve).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .graph import Graph, independence_number, min_degree, read_graph_file, to_e
 from .harness import (
     MODES,
     run_corpus,
+    solvers_consistent,
     theorem_bound,
     write_csv,
     write_jsonl,
@@ -113,19 +115,25 @@ def _cmd_solve(args) -> int:
         print(f"theorem_bound={theorem_bound(alpha, delta, args.b)}")
     else:
         print("theorem_bound=n/a (isolated vertices)")
+    exact = None
+    heur = None
     if args.mode in ("oracle", "both"):
-        result = min_small_components_exact(g, args.b)
-        print(f"oracle_optimum={result.optimum}")
+        exact = min_small_components_exact(g, args.b)
+        print(f"oracle_optimum={exact.optimum}")
         print("oracle witness:")
-        print(factor_to_text(result.witness))
+        print(factor_to_text(exact.witness))
     if args.mode in ("heuristic", "both"):
         res = heuristic_solve(g, args.b)
-        print(f"heuristic_small_count={res.small_count}"
+        heur = res.small_count
+        print(f"heuristic_small_count={heur}"
               + (" (fallback: no seed cycle)" if res.fallback else ""))
         for i, step in enumerate(res.steps, 1):
             print(f"step {i}: {step.kind} {step.before} -> {step.after}")
         print("heuristic factor:")
         print(factor_to_text(res.factor))
+    if not solvers_consistent(alpha, exact, heur):
+        print(f"SOLVER INCONSISTENT: {instance} b={args.b}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

@@ -24,9 +24,9 @@ from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 from .errors import CapacityError
-from .graph import Graph, independence_number, longest_path, min_degree, to_edge_list
-from .heuristic import solve
-from .oracle import min_small_components_exact
+from .graph import Graph, independence_number, min_degree, to_edge_list
+from .heuristic import SolveMemo, solve
+from .oracle import OracleResult, min_small_components_exact
 
 REPORT_SCHEMA = 1
 
@@ -66,22 +66,27 @@ class BoundReport:
 CSV_FIELDS = tuple(f.name for f in fields(BoundReport))
 
 
-class GraphFacts:
+class GraphFacts(SolveMemo):
     """The facts of one graph that do not depend on b, each computed on
-    first use and then shared by every b row of the graph. A search that
-    refuses stores nothing, so every row that asks again is refused again."""
-
-    def __init__(self, g: Graph):
-        self.g = g
+    first use and then shared by every b row of the graph: the solver's
+    searches and alpha. A search that refuses stores nothing, so every row
+    that asks again is refused again."""
 
     @cached_property
     def alpha(self) -> int:
         return independence_number(self.g)
 
-    @cached_property
-    def path(self) -> tuple[int, ...]:
-        """``longest_path(g)``, the solver's seed path."""
-        return longest_path(self.g)
+
+def solvers_consistent(alpha: int | None, exact: OracleResult | None,
+                       heuristic_value: int | None) -> bool:
+    """The solvers' own invariants: the oracle witness attains the optimum,
+    and oracle <= heuristic <= alpha. A missing value checks nothing."""
+    if exact is not None and exact.witness.small_count != exact.optimum:
+        return False
+    if heuristic_value is None:
+        return True
+    floor = 0 if exact is None else exact.optimum
+    return floor <= heuristic_value <= alpha
 
 
 def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
@@ -110,9 +115,8 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
     alpha: int | None = None
     bound: int | None = None
     kl = False
-    oracle_opt: int | None = None
+    exact: OracleResult | None = None
     heur: int | None = None
-    consistent = True
     # a refusal at any stage skips every later stage
     try:
         alpha = facts.alpha
@@ -121,16 +125,12 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
             kl = 2 * alpha <= b * (delta - 1)
         if mode in ("oracle", "both"):
             exact = min_small_components_exact(g, b)
-            oracle_opt = exact.optimum
-            consistent = exact.witness.small_count == oracle_opt
         if mode in ("heuristic", "both"):
-            heur = solve(g, b, path=facts.path).small_count
+            heur = solve(g, b, memo=facts).small_count
     except CapacityError:
         capacity_hit = True
 
-    if heur is not None and not (oracle_opt or 0) <= heur <= alpha:
-        consistent = False
-
+    oracle_opt = None if exact is None else exact.optimum
     if (
         oracle_opt is not None
         and bound is not None
@@ -138,7 +138,7 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
         and oracle_opt > bound
     ):
         status = "BOUND_VIOLATION"
-    elif not consistent:
+    elif not solvers_consistent(alpha, exact, heur):
         status = "SOLVER_INCONSISTENT"
     elif capacity_hit:
         status = "capacity_skipped"

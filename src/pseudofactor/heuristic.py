@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .factor import PseudoFactor, is_2b_subgraph
 from .graph import (
@@ -81,6 +82,24 @@ class HeuristicResult:
     @property
     def small_count(self) -> int:
         return self.factor.small_count
+
+
+class SolveMemo:
+    """The solver's searches on one graph that do not depend on b, each run
+    on first use and then shared by every ``solve`` of the graph: the seed
+    path, alpha of each ``G - F`` met (keyed by the mask of ``V - F``) and
+    the cover of each leftover set (keyed by its mask). A search that
+    refuses stores nothing, so every call that needs it is refused again."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.alphas: dict[int, int] = {}
+        self.covers: dict[int, tuple[CoverPiece, ...]] = {}
+
+    @cached_property
+    def path(self) -> tuple[int, ...]:
+        """``longest_path(g)``, the solver's seed path."""
+        return longest_path(self.g)
 
 
 def _alpha_rest(g: Graph, rest: frozenset[int], cache: dict[int, int]) -> int:
@@ -389,30 +408,36 @@ def posa_cover(g: Graph, within, path: tuple[int, ...] | None = None) -> list[Co
     return pieces
 
 
-def solve(g: Graph, b: int, path: tuple[int, ...] | None = None) -> HeuristicResult:
+def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     """Full pipeline: seed, improve, cover the rest, assemble and validate.
 
     The result always validates; its small-component count is at most
     alpha(G). b = 2 and b = 3 are accepted (the degree window is meaningful
     for any b >= 2); only the bound guarantees are specific to other b.
-    ``path``, when given, must be ``longest_path(g)``; it does not depend on
-    b, so calls for several b may share it.
+    ``memo``, when given, must be a ``SolveMemo`` of this very graph; calls
+    for several b may share it, and get the results of fresh calls.
     """
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
-    cache: dict[int, int] = {}
+    if memo is None:
+        memo = SolveMemo(g)
+    elif memo.g is not g:
+        raise ValueError("memo belongs to another graph")
     # one path search seeds F and, when F stays empty, starts the cover
-    if path is None and g.n:
-        path = longest_path(g)
-    state = initial_subgraph(g, cache, path=path)
+    path = memo.path if g.n else None
+    state = initial_subgraph(g, memo.alphas, path=path)
     fallback = not state.f_edges
     if fallback:
         outcome = ImproveOutcome(state, (), False)
     else:
-        outcome = improve(state, g, b, cache=cache)
+        outcome = improve(state, g, b, cache=memo.alphas)
     final = outcome.state
     rest = frozenset(range(g.n)) - final.f_vertices
-    pieces = posa_cover(g, rest, path=path if fallback else None)
+    key = to_mask(rest)
+    pieces = memo.covers.get(key)
+    if pieces is None:
+        pieces = tuple(posa_cover(g, rest, path=path if fallback else None))
+        memo.covers[key] = pieces
     edges = set(final.f_edges)
     for piece in pieces:
         edges.update(piece.edges)

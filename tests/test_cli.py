@@ -1,4 +1,7 @@
 import json
+from types import SimpleNamespace
+
+import pytest
 
 import pseudofactor.cli as cli
 import pseudofactor.harness as harness
@@ -6,6 +9,7 @@ from pseudofactor.cli import main
 from pseudofactor.errors import FactorError
 from pseudofactor.generators import gnp
 from pseudofactor.graph import load_edge_list, to_edge_list
+from pseudofactor.heuristic import solve
 from pseudofactor.oracle import OracleResult, min_small_components_exact
 
 
@@ -102,6 +106,31 @@ def test_solve_internal_error(capsys, monkeypatch):
     assert "internal error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [-1, 3])
+def test_solve_impossible_heuristic_value(capsys, monkeypatch, value):
+    # C5 at b=4: oracle optimum 0, alpha 2; -1 beats the oracle, 3 exceeds alpha
+    def impossible(g, b, **_):
+        real = solve(g, b)
+        return SimpleNamespace(small_count=value, fallback=real.fallback,
+                               steps=real.steps, factor=real.factor)
+
+    monkeypatch.setattr(cli, "heuristic_solve", impossible)
+    assert main(["solve", "--family", "cycle n=5", "-b", "4", "--mode", "both"]) == 5
+    assert "SOLVER INCONSISTENT: cycle n=5 b=4" in capsys.readouterr().err
+
+
+def test_solve_witness_must_attain_optimum(capsys, monkeypatch):
+    real = min_small_components_exact
+
+    def shifted(g, b):
+        result = real(g, b)
+        return OracleResult(result.optimum + 1, result.witness, result.blocks)
+
+    monkeypatch.setattr(cli, "min_small_components_exact", shifted)
+    assert main(["solve", "--family", "path n=4", "-b", "3", "--mode", "oracle"]) == 5
+    assert "SOLVER INCONSISTENT: path n=4 b=3" in capsys.readouterr().err
+
+
 def test_generate_round_trip(tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("cycle n=5\njoin h=1 p=3\n")
@@ -165,7 +194,7 @@ def test_verify_solver_inconsistent_exit_code(tmp_path, capsys, monkeypatch):
     class Impossible:
         small_count = 99  # above alpha(C5) = 2
 
-    monkeypatch.setattr(harness, "solve", lambda g, b, path=None: Impossible())
+    monkeypatch.setattr(harness, "solve", lambda g, b, **_: Impossible())
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("cycle n=5\n")
     report = tmp_path / "report.jsonl"

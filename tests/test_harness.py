@@ -131,7 +131,7 @@ class TestVerifyInstance:
         class Impossible:
             small_count = value
 
-        monkeypatch.setattr(harness, "solve", lambda g, b, path=None: Impossible())
+        monkeypatch.setattr(harness, "solve", lambda g, b, **_: Impossible())
         report = verify_instance(cycle_graph(5), 4, mode="both")
         assert report.heuristic_value == value
         assert report.status == "SOLVER_INCONSISTENT"
@@ -227,6 +227,33 @@ class TestRunCorpus:
             assert list(run.reports) == expected
             assert alpha_calls == graphs
             assert path_calls == graphs
+        assert sizes == [2]
+
+    def test_b_rows_share_covers(self, monkeypatch):
+        items = [(f"gnp {s}", gnp(8, 0.45, s)) for s in range(4)]
+        original = heuristic.posa_cover
+        calls = []
+
+        def spy(g, within, path=None):
+            calls.append((id(g), frozenset(within)))
+            return original(g, within, path=path)
+
+        monkeypatch.setattr(heuristic, "posa_cover", spy)
+        expected = [
+            verify_instance(g, b, mode="both", instance=instance)
+            for instance, g in items
+            for b in (4, 5, 6)
+        ]
+        distinct = list(dict.fromkeys(calls))  # first row of each graph's leftover set
+        assert len(distinct) < len(calls)  # some b rows repeat a leftover set
+        sizes = []
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", fake_pool(sizes))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        for jobs in (1, 2):  # serial, then per-graph tasks through the pool
+            calls.clear()
+            run = run_corpus(items, [4, 5, 6], mode="both", jobs=jobs)
+            assert list(run.reports) == expected
+            assert calls == distinct
         assert sizes == [2]
 
     def test_refusals_are_not_shared(self, monkeypatch):

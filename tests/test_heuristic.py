@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from pseudofactor.generators import (
 from pseudofactor.graph import Graph, independence_number, longest_path
 from pseudofactor.heuristic import (
     MOVE_ORDER,
+    SolveMemo,
     apply_move,
     enumerate_moves,
     improve,
@@ -271,15 +273,23 @@ class TestSolve:
         result = solve(cycle_graph(5), 3)
         assert result.small_count == 0
 
-    @given(small_graphs(max_n=10), st.integers(2, 6))
+    @given(small_graphs(max_n=10), st.permutations(range(2, 7)))
     @settings(max_examples=100, deadline=None)
-    def test_given_seed_path_changes_nothing(self, g, b):
-        given_path = solve(g, b, path=longest_path(g))
-        own = solve(g, b)
-        assert given_path.factor.edges == own.factor.edges
-        assert given_path.steps == own.steps
-        assert given_path.fallback == own.fallback
-        assert given_path.budget_exhausted == own.budget_exhausted
+    def test_shared_memo_changes_nothing(self, g, b_values):
+        memo = SolveMemo(g)
+        for b in b_values:
+            shared = solve(g, b, memo=memo)
+            own = solve(g, b)
+            assert shared.factor.edges == own.factor.edges
+            assert shared.steps == own.steps
+            assert shared.fallback == own.fallback
+            assert shared.budget_exhausted == own.budget_exhausted
+
+    def test_memo_of_another_graph_rejected(self):
+        g = cycle_graph(5)
+        twin = cycle_graph(5)  # equal, but not the same graph
+        with pytest.raises(ValueError, match="another graph"):
+            solve(g, 4, memo=SolveMemo(twin))
 
     def test_fallback_searches_the_seed_path_once(self, monkeypatch):
         calls = []
