@@ -25,7 +25,7 @@ from pathlib import Path
 from .errors import CapacityError, FactorError, ParseError
 from .factor import factor_to_text
 from .generators import FamilySpec, parse_manifest
-from .graph import Graph, independence_number, min_degree, read_graph_file, to_edge_list
+from .graph import Graph, min_degree, read_graph_file, to_edge_list
 from .harness import (
     MODES,
     run_corpus,
@@ -35,7 +35,7 @@ from .harness import (
     write_jsonl,
     write_reproducers,
 )
-from .heuristic import solve as heuristic_solve
+from .heuristic import SolveMemo, solve as heuristic_solve
 from .oracle import min_small_components_exact
 
 EXIT_OK = 0
@@ -109,7 +109,8 @@ def _cmd_solve(args) -> int:
     if g.n == 0:
         raise ParseError("cannot solve an empty graph")
     delta = min_degree(g)
-    alpha = independence_number(g)
+    memo = SolveMemo(g)
+    alpha = memo.alpha(range(g.n))
     print(f"delta={delta} alpha={alpha} b={args.b}")
     if delta >= 1:
         print(f"theorem_bound={theorem_bound(alpha, delta, args.b)}")
@@ -123,7 +124,7 @@ def _cmd_solve(args) -> int:
         print("oracle witness:")
         print(factor_to_text(exact.witness))
     if args.mode in ("heuristic", "both"):
-        res = heuristic_solve(g, args.b)
+        res = heuristic_solve(g, args.b, memo=memo)
         heur = res.small_count
         print(f"heuristic_small_count={heur}"
               + (" (fallback: no seed cycle)" if res.fallback else ""))

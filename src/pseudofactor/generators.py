@@ -116,10 +116,7 @@ def _implied_size(family: str, values: dict[str, int | float]) -> tuple[int, int
     pair it samples. Negative sizes count as 0 and are left to ``build``."""
 
     def size(key: str) -> int:
-        val = values[key]
-        if isinstance(val, float) and not math.isfinite(val):
-            raise ManifestError(f"{key}={val} is not finite")
-        return max(0, int(val))
+        return max(0, int(values[key]))
 
     if family == "join":
         h, p = size("h"), size("p")
@@ -143,6 +140,8 @@ class FamilySpec:
     pendant: h = length of the cycle used as base graph.
     gnp: n, p (edge probability), seed.
     cycle / complete / path: n.
+    Every value but gnp's p must be an integer (``6`` or ``6.0``, never
+    ``6.5``).
     """
 
     family: str
@@ -177,6 +176,13 @@ class FamilySpec:
         extra = [k for k in seen if k not in required]
         if extra:
             raise ManifestError(f"family {family!r} does not take {', '.join(extra)}")
+        for key in required:
+            val = seen[key]
+            if isinstance(val, float) and (family, key) != ("gnp", "p"):
+                if not math.isfinite(val):
+                    raise ManifestError(f"{key}={val} is not finite")
+                if not val.is_integer():
+                    raise ManifestError(f"{key}={val} is not an integer")
         vertices, edges = _implied_size(family, seen)
         if vertices > DECLARED_VERTEX_LIMIT:
             raise ManifestError(

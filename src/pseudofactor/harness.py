@@ -21,10 +21,9 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
 
 from .errors import CapacityError
-from .graph import Graph, independence_number, min_degree, to_edge_list
+from .graph import Graph, min_degree, to_edge_list
 from .heuristic import SolveMemo, solve
 from .oracle import OracleResult, min_small_components_exact
 
@@ -66,17 +65,6 @@ class BoundReport:
 CSV_FIELDS = tuple(f.name for f in fields(BoundReport))
 
 
-class GraphFacts(SolveMemo):
-    """The facts of one graph that do not depend on b, each computed on
-    first use and then shared by every b row of the graph: the solver's
-    searches and alpha. A search that refuses stores nothing, so every row
-    that asks again is refused again."""
-
-    @cached_property
-    def alpha(self) -> int:
-        return independence_number(self.g)
-
-
 def solvers_consistent(alpha: int | None, exact: OracleResult | None,
                        heuristic_value: int | None) -> bool:
     """The solvers' own invariants: the oracle witness attains the optimum,
@@ -90,15 +78,16 @@ def solvers_consistent(alpha: int | None, exact: OracleResult | None,
 
 
 def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
-                    facts: GraphFacts | None = None) -> BoundReport:
+                    memo: SolveMemo | None = None) -> BoundReport:
     """Fully populated report row for one (graph, b).
 
     Capacity refusals become status "capacity_skipped", never a silently
     truncated answer. Bound checking needs delta >= 1; isolated vertices set a
     flag and make the row informational. Values that break
     oracle <= heuristic <= alpha, or an oracle witness whose small count is
-    not the optimum, make the row SOLVER_INCONSISTENT. ``facts``, when given,
-    must be ``GraphFacts(g)``; other rows of the same graph may share it.
+    not the optimum, make the row SOLVER_INCONSISTENT. ``memo``, when given,
+    must be a ``SolveMemo`` of this very graph; it holds alpha(G) with the
+    solver's searches, and other rows of the same graph may share it.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -106,8 +95,7 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
         raise ValueError("cannot verify an empty graph")
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
-    if facts is None:
-        facts = GraphFacts(g)
+    memo = SolveMemo.of(g, memo)
 
     delta = min_degree(g)
     isolated = delta == 0
@@ -119,14 +107,14 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
     heur: int | None = None
     # a refusal at any stage skips every later stage
     try:
-        alpha = facts.alpha
+        alpha = memo.alpha(range(g.n))
         if delta >= 1:
             bound = theorem_bound(alpha, delta, b)
             kl = 2 * alpha <= b * (delta - 1)
         if mode in ("oracle", "both"):
             exact = min_small_components_exact(g, b)
         if mode in ("heuristic", "both"):
-            heur = solve(g, b, memo=facts).small_count
+            heur = solve(g, b, memo=memo).small_count
     except CapacityError:
         capacity_hit = True
 
@@ -172,10 +160,10 @@ class CorpusRun:
 
 
 def _verify_graph(task) -> list[BoundReport]:
-    """The rows of one graph, in ``b_values`` order, sharing its facts."""
+    """The rows of one graph, in ``b_values`` order, sharing one memo."""
     instance, g, b_values, mode = task
-    facts = GraphFacts(g)
-    return [verify_instance(g, b, mode=mode, instance=instance, facts=facts) for b in b_values]
+    memo = SolveMemo(g)
+    return [verify_instance(g, b, mode=mode, instance=instance, memo=memo) for b in b_values]
 
 
 def summarize(reports) -> dict:

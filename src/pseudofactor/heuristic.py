@@ -27,8 +27,9 @@ from .graph import (
     to_mask,
 )
 
-DEFAULT_MAX_STEPS = 200
-DEFAULT_MAX_EVALS = 20000
+#: the improvement loop's safety net, read at each call
+MAX_STEPS = 200
+MAX_EVALS = 20000
 
 #: move kinds, in the order they are tried (component-absorbing first,
 #: degree-shuffling next, deletion last)
@@ -85,33 +86,44 @@ class HeuristicResult:
 
 
 class SolveMemo:
-    """The solver's searches on one graph that do not depend on b, each run
-    on first use and then shared by every ``solve`` of the graph: the seed
-    path, alpha of each ``G - F`` met (keyed by the mask of ``V - F``) and
-    the cover of each leftover set (keyed by its mask). A search that
-    refuses stores nothing, so every call that needs it is refused again."""
+    """The searches on one graph that do not depend on b, each run on first
+    use and then shared by every stage and every b that asks: the seed path,
+    alpha of each induced subgraph met (keyed by the mask of its vertex set,
+    so alpha(G) is the entry of the full set and each alpha(G - F) the entry
+    of ``V - F``) and the cover of each leftover set (keyed by its mask). A
+    search that refuses stores nothing, so every call that needs it is
+    refused again."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.alphas: dict[int, int] = {}
         self.covers: dict[int, tuple[CoverPiece, ...]] = {}
 
+    @classmethod
+    def of(cls, g: Graph, memo: SolveMemo | None) -> SolveMemo:
+        """``memo``, checked to belong to ``g``; a fresh memo when None."""
+        if memo is None:
+            return cls(g)
+        if memo.g is not g:
+            raise ValueError("memo belongs to another graph")
+        return memo
+
     @cached_property
     def path(self) -> tuple[int, ...]:
         """``longest_path(g)``, the solver's seed path."""
         return longest_path(self.g)
 
+    def alpha(self, within) -> int:
+        """alpha(G[within]), searched once per vertex set."""
+        mask = to_mask(within)
+        val = self.alphas.get(mask)
+        if val is None:
+            val = independence_number(self.g, within=within)
+            self.alphas[mask] = val
+        return val
 
-def _alpha_rest(g: Graph, rest: frozenset[int], cache: dict[int, int]) -> int:
-    mask = to_mask(rest)
-    val = cache.get(mask)
-    if val is None:
-        val = independence_number(g, within=rest)
-        cache[mask] = val
-    return val
 
-
-def _make_state(g: Graph, f_edges, cache: dict[int, int]) -> SearchState:
+def _make_state(g: Graph, f_edges, memo: SolveMemo) -> SearchState:
     f_edges = frozenset(norm_edge(*e) for e in f_edges)
     f_vertices = frozenset(v for e in f_edges for v in e)
     rest = frozenset(range(g.n)) - f_vertices
@@ -121,27 +133,26 @@ def _make_state(g: Graph, f_edges, cache: dict[int, int]) -> SearchState:
     else:
         d = frozenset()
     attachments = tuple(sorted(v for v in f_vertices if g.adj[v] & d))
-    objective = (_alpha_rest(g, rest, cache), len(d), len(f_vertices))
+    objective = (memo.alpha(rest), len(d), len(f_vertices))
     return SearchState(f_edges, f_vertices, d, attachments, objective)
 
 
-def initial_subgraph(g: Graph, cache: dict[int, int] | None = None,
-                     path: tuple[int, ...] | None = None) -> SearchState:
+def _either_end_cycle(g: Graph, path, within=None):
+    """``endpoint_cycle`` at the path's first endpoint, else at its last."""
+    cyc = endpoint_cycle(g, path, within=within)
+    if cyc is None:
+        cyc = endpoint_cycle(g, path[::-1], within=within)
+    return cyc
+
+
+def initial_subgraph(g: Graph, memo: SolveMemo | None = None) -> SearchState:
     """Seed state: the cycle through a longest-path endpoint and its farthest
     path neighbor, when some endpoint has degree >= 2; otherwise F is empty
-    and the caller degrades to the cover alone. ``path``, when given, must be
-    ``longest_path(g)``."""
-    if cache is None:
-        cache = {}
-    if g.n == 0:
-        return _make_state(g, (), cache)
-    if path is None:
-        path = longest_path(g)
-    cyc = endpoint_cycle(g, path)
-    if cyc is None:
-        cyc = endpoint_cycle(g, path[::-1])
+    and the caller degrades to the cover alone."""
+    memo = SolveMemo.of(g, memo)
+    cyc = _either_end_cycle(g, memo.path) if g.n else None
     edges = cyc[1] if cyc is not None else ()
-    return _make_state(g, edges, cache)
+    return _make_state(g, edges, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +197,7 @@ def _cycle_within(g: Graph, d: frozenset[int]):
     available, otherwise any cycle found by DFS. None when G[d] is a forest."""
     if len(d) < 3:
         return None
-    path = longest_path(g, within=d)
-    cyc = endpoint_cycle(g, path, within=d)
-    if cyc is None:
-        cyc = endpoint_cycle(g, path[::-1], within=d)
+    cyc = _either_end_cycle(g, longest_path(g, within=d), within=d)
     if cyc is not None:
         return cyc[1]
 
@@ -327,37 +335,35 @@ def enumerate_moves(state: SearchState, g: Graph, b: int) -> list[ExchangeMove]:
 
 
 def apply_move(state: SearchState, move: ExchangeMove, g: Graph,
-               cache: dict[int, int]) -> SearchState:
+               memo: SolveMemo) -> SearchState:
     """State after a move that ``enumerate_moves`` returned for ``state``;
     the move is trusted to keep F a degree-[2,b] subgraph."""
     new_edges = (state.f_edges - set(move.remove_edges)) | set(move.add_edges)
-    return _make_state(g, new_edges, cache)
+    return _make_state(g, new_edges, memo)
 
 
 def improve(state: SearchState, g: Graph, b: int,
-            max_steps: int = DEFAULT_MAX_STEPS,
-            max_evals: int = DEFAULT_MAX_EVALS,
-            cache: dict[int, int] | None = None) -> ImproveOutcome:
+            memo: SolveMemo | None = None) -> ImproveOutcome:
     """Greedy first-improvement descent on (alpha(G-F), |D|, |V(F)|).
 
     Returns once no enumerated move improves the objective, or with the
-    budget_exhausted flag set when the step/evaluation budget runs out first.
+    budget_exhausted flag set when MAX_STEPS steps or MAX_EVALS move
+    evaluations run out first.
     """
-    if cache is None:
-        cache = {}
+    memo = SolveMemo.of(g, memo)
     steps: list[StepRecord] = []
     evals = 0
     exhausted = False
-    while len(steps) < max_steps:
+    while len(steps) < MAX_STEPS:
         if not state.d_vertices:
             break
         improved = False
         for move in enumerate_moves(state, g, b):
-            if evals >= max_evals:
+            if evals >= MAX_EVALS:
                 exhausted = True
                 break
             evals += 1
-            candidate = apply_move(state, move, g, cache)
+            candidate = apply_move(state, move, g, memo)
             if candidate.objective < state.objective:
                 steps.append(StepRecord(move.kind, state.objective, candidate.objective))
                 state = candidate
@@ -390,9 +396,7 @@ def posa_cover(g: Graph, within, path: tuple[int, ...] | None = None) -> list[Co
     while remaining:
         if path is None:
             path = longest_path(g, within=remaining)
-        cyc = endpoint_cycle(g, path, within=remaining)
-        if cyc is None:
-            cyc = endpoint_cycle(g, path[::-1], within=remaining)
+        cyc = _either_end_cycle(g, path, within=remaining)
         if cyc is not None:
             verts, edges = cyc
             pieces.append(CoverPiece("cycle", tuple(sorted(verts)), tuple(sorted(edges))))
@@ -419,24 +423,21 @@ def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     """
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
-    if memo is None:
-        memo = SolveMemo(g)
-    elif memo.g is not g:
-        raise ValueError("memo belongs to another graph")
-    # one path search seeds F and, when F stays empty, starts the cover
-    path = memo.path if g.n else None
-    state = initial_subgraph(g, memo.alphas, path=path)
+    memo = SolveMemo.of(g, memo)
+    state = initial_subgraph(g, memo)
     fallback = not state.f_edges
     if fallback:
         outcome = ImproveOutcome(state, (), False)
     else:
-        outcome = improve(state, g, b, cache=memo.alphas)
+        outcome = improve(state, g, b, memo)
     final = outcome.state
     rest = frozenset(range(g.n)) - final.f_vertices
     key = to_mask(rest)
     pieces = memo.covers.get(key)
     if pieces is None:
-        pieces = tuple(posa_cover(g, rest, path=path if fallback else None))
+        # a fallback covers all of G, whose first path is the seed path
+        path = memo.path if fallback and g.n else None
+        pieces = tuple(posa_cover(g, rest, path=path))
         memo.covers[key] = pieces
     edges = set(final.f_edges)
     for piece in pieces:

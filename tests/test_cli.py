@@ -2,6 +2,7 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from test_harness import spy_full_graph
 
 import pseudofactor.cli as cli
 import pseudofactor.harness as harness
@@ -97,8 +98,23 @@ def test_solve_non_finite_family_size(capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+def test_solve_fractional_family_value(capsys):
+    # int(6.9) used to build n = 6 while the instance id still said 6.9
+    assert main(["solve", "--family", "gnp n=6.9 p=0.5 seed=1", "-b", "4"]) == 2
+    assert "n=6.9 is not an integer" in capsys.readouterr().err
+
+
+def test_solve_fallback_searches_alpha_once(capsys, monkeypatch):
+    # the printed alpha and the solver's alpha(G - F), F empty, are one search
+    alpha_calls = spy_full_graph(monkeypatch, "independence_number")
+    argv = ["solve", "--family", "pendant h=3", "-b", "4", "--mode", "heuristic"]
+    assert main(argv) == 0
+    assert "fallback" in capsys.readouterr().out
+    assert len(alpha_calls) == 1
+
+
 def test_solve_internal_error(capsys, monkeypatch):
-    def broken(g, b):
+    def broken(g, b, memo=None):
         raise FactorError("component (0, 1, 2): vertex 0 has degree 1, outside [2, 4]")
 
     monkeypatch.setattr(cli, "heuristic_solve", broken)

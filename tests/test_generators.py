@@ -186,6 +186,27 @@ class TestFamilySpec:
         with pytest.raises(ManifestError, match="not finite"):
             FamilySpec.parse("path n=inf")
 
+    @pytest.mark.parametrize("line, key", [
+        ("gnp n=6.9 p=0.5 seed=1", "n"),
+        ("gnp n=6 p=0.5 seed=1.5", "seed"),
+        ("join h=3 p=2.5", "p"),
+        ("join h=2.5 p=3", "h"),
+        ("pendant h=4.2", "h"),
+        ("cycle n=5.5", "n"),
+        ("path n=-1.5", "n"),
+    ])
+    def test_fractional_integer_key_rejected(self, line, key):
+        with pytest.raises(ManifestError, match=f"{key}=.* is not an integer"):
+            FamilySpec.parse(line)
+
+    def test_non_finite_seed_rejected(self):
+        with pytest.raises(ManifestError, match="seed=inf is not finite"):
+            FamilySpec.parse("gnp n=6 p=0.5 seed=inf")
+
+    def test_integral_float_and_gnp_probability_accepted(self):
+        assert FamilySpec.parse("cycle n=5.0").build().n == 5
+        assert FamilySpec.parse("gnp n=6 p=0.5 seed=1").get("p") == 0.5
+
     def test_oversized_manifest_line_reports_line_number(self):
         with pytest.raises(ManifestError, match="line 2: .*over the limit"):
             parse_manifest("cycle n=5\ncomplete n=1000000000\n")

@@ -6,10 +6,18 @@ from pathlib import Path
 
 import pytest
 
+import pseudofactor.cli as cli
 import pseudofactor.graph as graph_module
 import pseudofactor.harness as harness
 from pseudofactor import heuristic
-from pseudofactor.generators import complete_graph, cycle_graph, gnp, join_sharpness, path_graph
+from pseudofactor.generators import (
+    complete_graph,
+    cycle_graph,
+    gnp,
+    join_sharpness,
+    path_graph,
+    pendant_sharpness,
+)
 from pseudofactor.graph import Graph
 from pseudofactor.harness import (
     BoundReport,
@@ -46,17 +54,20 @@ def fake_pool(sizes: list):
 
 
 def spy_full_graph(monkeypatch, name: str) -> list[Graph]:
-    """Record the graph of every call of ``graph.<name>`` without ``within``,
-    through each module that binds the function."""
+    """Record the graph of every call of ``graph.<name>`` on the whole vertex
+    set, with or without ``within``, through each module that binds the
+    function."""
     original = getattr(graph_module, name)
     calls = []
 
     def spy(g, within=None):
-        if within is None:
+        if within is not None:
+            within = frozenset(within)
+        if within is None or within == frozenset(range(g.n)):
             calls.append(g)
         return original(g, within=within)
 
-    for module in (graph_module, harness, heuristic):
+    for module in (graph_module, harness, heuristic, cli):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, spy)
     return calls
@@ -229,6 +240,22 @@ class TestRunCorpus:
             assert path_calls == graphs
         assert sizes == [2]
 
+    def test_fallback_rows_search_alpha_of_g_once(self, monkeypatch):
+        # with F empty, alpha(G - F) is alpha(G): one search serves both
+        items = [("pendant c3", pendant_sharpness(cycle_graph(3))),
+                 ("pendant c5", pendant_sharpness(cycle_graph(5))),
+                 ("path 6", path_graph(6))]
+        assert all(heuristic.solve(g, 4).fallback for _, g in items)
+        alpha_calls = spy_full_graph(monkeypatch, "independence_number")
+        sizes = []
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", fake_pool(sizes))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        for jobs in (1, 2):  # serial, then per-graph tasks through the pool
+            alpha_calls.clear()
+            run_corpus(items, [4, 5, 6], mode="heuristic", jobs=jobs)
+            assert alpha_calls == [g for _, g in items]
+        assert sizes == [2]
+
     def test_b_rows_share_covers(self, monkeypatch):
         items = [(f"gnp {s}", gnp(8, 0.45, s)) for s in range(4)]
         original = heuristic.posa_cover
@@ -267,6 +294,12 @@ class TestRunCorpus:
         run = run_corpus(over_oracle, [4, 5, 6], mode="both")
         assert [r.status for r in run.reports] == ["capacity_skipped"] * 3
         assert path_calls == []  # the oracle refuses before the solver runs
+
+    def test_memo_of_another_graph_rejected(self):
+        g = cycle_graph(5)
+        twin = cycle_graph(5)  # equal, but not the same graph
+        with pytest.raises(ValueError, match="another graph"):
+            verify_instance(g, 4, mode="both", memo=heuristic.SolveMemo(twin))
 
     def test_violation_detection_and_reproducer(self, tmp_path, monkeypatch):
         # the guarantee holds on real graphs, so fake an optimum above the

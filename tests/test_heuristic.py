@@ -130,14 +130,14 @@ class TestEnumerateMoves:
         state = initial_subgraph(g)
         if not state.f_edges:
             return  # solve covers G directly and never calls improve
-        cache: dict[int, int] = {}
+        memo = SolveMemo(g)
         while state.d_vertices:
             moves = enumerate_moves(state, g, b)
             d = state.d_vertices
             # D is connected, so it holds a cycle iff |E(G[D])| >= |D|
             if sum(u in d and v in d for u, v in g.edges) >= len(d):
                 assert [m.kind for m in moves] == ["X4"]
-            after = [apply_move(state, m, g, cache) for m in moves]
+            after = [apply_move(state, m, g, memo) for m in moves]
             for move, candidate in zip(moves, after):
                 if move.kind != "X7":
                     assert candidate.objective < state.objective, move
@@ -182,9 +182,10 @@ class TestImprove:
                 previous = step.after
             assert outcome.state.objective <= initial.objective
 
-    def test_budget_flag(self):
+    def test_budget_flag(self, monkeypatch):
+        monkeypatch.setattr(heuristic, "MAX_EVALS", 0)
         g = join_sharpness(complete_graph(1), 3)
-        outcome = improve(initial_subgraph(g), g, 4, max_evals=0)
+        outcome = improve(initial_subgraph(g), g, 4)
         assert outcome.budget_exhausted
 
 
@@ -203,7 +204,8 @@ class TestImprove:
         assert not free.budget_exhausted and k > len(free.steps) >= 2
         for budget in range(k + 1):
             calls.clear()
-            outcome = improve(initial, g, 4, max_evals=budget)
+            monkeypatch.setattr(heuristic, "MAX_EVALS", budget)
+            outcome = improve(initial, g, 4)
             assert len(calls) <= budget
             assert outcome.budget_exhausted == (budget < k)
         assert outcome == free
@@ -290,6 +292,15 @@ class TestSolve:
         twin = cycle_graph(5)  # equal, but not the same graph
         with pytest.raises(ValueError, match="another graph"):
             solve(g, 4, memo=SolveMemo(twin))
+
+    def test_each_stage_rejects_a_memo_of_another_graph(self):
+        g = cycle_graph(5)
+        twin = cycle_graph(5)
+        with pytest.raises(ValueError, match="another graph"):
+            initial_subgraph(g, memo=SolveMemo(twin))
+        state = initial_subgraph(g)
+        with pytest.raises(ValueError, match="another graph"):
+            improve(state, g, 4, memo=SolveMemo(twin))
 
     def test_fallback_searches_the_seed_path_once(self, monkeypatch):
         calls = []
