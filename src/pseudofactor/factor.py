@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError, FactorError
-from .graph import Edge, Graph, bits, component_masks, norm_edge, to_mask
+from .graph import Edge, Graph, bits, component_masks, norm_edge, within_mask
 
 #: largest block size accepted by the exact degree-window spanning search
 SPANNING_LIMIT = 20
@@ -132,17 +132,18 @@ def spanning_in_range(g: Graph, s, b: int):
     Memoized search over the vertices in deficiency order (lowest induced
     degree first): a vertex decides its edges toward later vertices, and any
     vertex whose remaining possible degree cannot reach 2 fails the branch
-    fast. Exact; blocks larger than SPANNING_LIMIT raise CapacityError.
+    fast. Exact; blocks larger than SPANNING_LIMIT raise CapacityError, and
+    vertices outside 0..n-1 raise ValueError.
     """
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
     verts = sorted(set(s))
+    mask = within_mask(g, verts)
     k = len(verts)
     if k < 3:
         return None
     if k > SPANNING_LIMIT:
         raise CapacityError(f"spanning search limited to {SPANNING_LIMIT} vertices, got {k}")
-    mask = to_mask(verts)
     induced_deg = {v: (g.adj_bits[v] & mask).bit_count() for v in verts}
     if min(induced_deg.values()) < 2:
         return None

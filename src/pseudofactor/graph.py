@@ -31,10 +31,22 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def to_mask(vertices) -> int:
+def within_mask(g: Graph, within) -> int:
+    """Bitmask of the vertices ``within`` (all of g when None).
+
+    A vertex outside 0..n-1 raises ValueError; the range check is one shift
+    of the finished mask.
+    """
+    if within is None:
+        return g.full_mask
     m = 0
-    for v in vertices:
-        m |= 1 << v
+    try:
+        for v in within:
+            m |= 1 << v
+    except ValueError:  # negative shift count
+        raise ValueError(f"vertex {v} outside 0..{g.n - 1}") from None
+    if m >> g.n:
+        raise ValueError(f"vertex {m.bit_length() - 1} outside 0..{g.n - 1}")
     return m
 
 
@@ -221,11 +233,20 @@ def min_degree(g: Graph) -> int:
 
 
 def _greedy_independent(adj_bits, mask: int) -> int:
-    """Independent set found by repeatedly taking a minimum-degree vertex."""
+    """Independent set found by repeatedly taking a minimum-degree vertex of
+    the remaining induced subgraph, the lowest-index one on ties."""
     chosen = 0
     remaining = mask
     while remaining:
-        v = min(bits(remaining), key=lambda x: (adj_bits[x] & remaining).bit_count())
+        low_deg = remaining.bit_count()
+        rest = remaining
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            d = (adj_bits[u] & remaining).bit_count()
+            if d < low_deg:
+                low_deg, v = d, u
+            rest ^= low
         chosen |= 1 << v
         remaining &= ~(adj_bits[v] | (1 << v))
     return chosen
@@ -234,12 +255,16 @@ def _greedy_independent(adj_bits, mask: int) -> int:
 def maximum_independent_set(g: Graph, within=None) -> frozenset[int]:
     """A maximum independent set of g (restricted to ``within`` if given).
 
-    Exact branch and bound: branch on a highest-degree vertex (in/out of the
-    set), prune with the trivial size bound, seed with the min-degree greedy
-    set. Guaranteed correct for every instance it accepts; instances above
-    INDEPENDENCE_LIMIT vertices raise CapacityError.
+    Exact branch and bound: branch on a highest-degree vertex of the
+    candidate set, the lowest-index one on ties (in, then out of the set),
+    prune with the trivial size bound, seed with the min-degree greedy set of
+    ``_greedy_independent``. ``best`` is only replaced by a strictly larger
+    set, so the returned set is the first maximum set in that branch order,
+    or the greedy set when it is already maximum. Guaranteed correct for every
+    instance it accepts; instances above INDEPENDENCE_LIMIT vertices raise
+    CapacityError, and vertices outside 0..n-1 raise ValueError.
     """
-    mask = g.full_mask if within is None else to_mask(within)
+    mask = within_mask(g, within)
     if mask.bit_count() > INDEPENDENCE_LIMIT:
         raise CapacityError(
             f"independence search limited to {INDEPENDENCE_LIMIT} vertices, got {mask.bit_count()}"
@@ -255,8 +280,15 @@ def maximum_independent_set(g: Graph, within=None) -> frozenset[int]:
         if not cand:
             best, best_set = size, chosen
             return
-        v = max(bits(cand), key=lambda x: ((adj[x] & cand).bit_count(), -x))
-        bit = 1 << v
+        top = -1
+        rest = cand
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            d = (adj[u] & cand).bit_count()
+            if d > top:
+                top, v, bit = d, u, low
+            rest ^= low
         expand(cand & ~(adj[v] | bit), size + 1, chosen | bit)
         expand(cand & ~bit, size, chosen)
 
@@ -274,8 +306,10 @@ def _reachable(adj_bits, start: int, avail: int) -> int:
     frontier = seen
     while frontier:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= adj_bits[v]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj_bits[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & avail & ~seen
         seen |= frontier
     return seen
@@ -303,9 +337,10 @@ def longest_path(g: Graph, within=None) -> tuple[int, ...]:
     where ``ends`` counts the vertices of R with exactly one neighbor in
     R + v: such a vertex can only be the last one of the path. Start
     vertices stop once ``best`` spans a largest component. Exponential;
-    refuses instances above LONGEST_PATH_LIMIT vertices.
+    refuses instances above LONGEST_PATH_LIMIT vertices, and vertices
+    outside 0..n-1 raise ValueError.
     """
-    mask = g.full_mask if within is None else to_mask(within)
+    mask = within_mask(g, within)
     k = mask.bit_count()
     if k == 0:
         raise ValueError("longest path of an empty vertex set is undefined")
@@ -322,22 +357,38 @@ def longest_path(g: Graph, within=None) -> tuple[int, ...]:
         ext = adj[v] & avail
         if not ext:
             return
-        reach = _reachable(adj, v, avail)
+        # the bitmask walks below are _reachable and bits() written inline,
+        # in the same ascending order: this is the hot loop of the solver
+        reach = frontier = ext
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & avail & ~reach
+            reach |= frontier
         slack = len(path) + reach.bit_count() - len(best)
         if slack <= 0:
             return
         scope = reach | (1 << v)
         ends = 0
-        for w in bits(reach):
-            x = adj[w] & scope
+        rest = reach
+        while rest:
+            low = rest & -rest
+            x = adj[low.bit_length() - 1] & scope
             if not x & (x - 1):
                 ends += 1
+            rest ^= low
         if ends - 1 >= slack:
             return
-        for u in bits(ext):
+        while ext:
+            low = ext & -ext
+            u = low.bit_length() - 1
             path.append(u)
-            dfs(u, avail & ~(1 << u))
+            dfs(u, avail ^ low)
             path.pop()
+            ext ^= low
 
     largest = max(c.bit_count() for c in component_masks(adj, mask))
     for s in bits(mask):
@@ -376,6 +427,7 @@ def endpoint_cycle(g: Graph, path, within=None):
 
 def connected_components(g: Graph, within=None) -> list[frozenset[int]]:
     """Partition of ``within`` (default: all vertices) into maximal connected
-    sets of the induced subgraph, ordered by smallest member."""
-    mask = g.full_mask if within is None else to_mask(within)
+    sets of the induced subgraph, ordered by smallest member. Vertices
+    outside 0..n-1 raise ValueError."""
+    mask = within_mask(g, within)
     return [frozenset(bits(comp)) for comp in component_masks(g.adj_bits, mask)]

@@ -24,7 +24,7 @@ from .graph import (
     independence_number,
     longest_path,
     norm_edge,
-    to_mask,
+    within_mask,
 )
 
 #: the improvement loop's safety net, read at each call
@@ -115,7 +115,7 @@ class SolveMemo:
 
     def alpha(self, within) -> int:
         """alpha(G[within]), searched once per vertex set."""
-        mask = to_mask(within)
+        mask = within_mask(self.g, within)
         val = self.alphas.get(mask)
         if val is None:
             val = independence_number(self.g, within=within)
@@ -432,7 +432,7 @@ def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
         outcome = improve(state, g, b, memo)
     final = outcome.state
     rest = frozenset(range(g.n)) - final.f_vertices
-    key = to_mask(rest)
+    key = within_mask(g, rest)
     pieces = memo.covers.get(key)
     if pieces is None:
         # a fallback covers all of G, whose first path is the seed path

@@ -37,10 +37,14 @@ def petersen() -> Graph:
     return Graph.build(10, edges)
 
 
-def brute_force_alpha(g: Graph) -> int:
-    """Maximum independent set size by scanning all 2^n subsets."""
+def brute_force_alpha(g: Graph, within=None) -> int:
+    """Maximum independent set size (inside ``within`` if given) by scanning
+    all 2^n subsets."""
+    outside = 0 if within is None else g.full_mask & ~sum(1 << v for v in set(within))
     best = 0
     for mask in range(1 << g.n):
+        if mask & outside:
+            continue
         ok = True
         m = mask
         while m:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,12 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_alpha, petersen, small_graphs
 from pseudofactor.errors import CapacityError, GraphParseError
+from pseudofactor.factor import spanning_in_range
 from pseudofactor.generators import complete_graph, cycle_graph, path_graph
 from pseudofactor.graph import (
     DECLARED_VERTEX_LIMIT,
     INDEPENDENCE_LIMIT,
     LONGEST_PATH_LIMIT,
     Graph,
+    component_masks,
     connected_components,
     endpoint_cycle,
     independence_number,
@@ -23,6 +26,7 @@ from pseudofactor.graph import (
     min_degree,
     to_edge_list,
 )
+from pseudofactor.heuristic import posa_cover
 
 
 # graph-file text: arbitrary strings, and lines of the formats' own tokens so
@@ -191,6 +195,84 @@ class TestIndependence:
     def test_matches_brute_force(self, g):
         assert independence_number(g) == brute_force_alpha(g)
 
+    def test_witness_on_every_small_graph(self):
+        # all 1099 labelled graphs on 1..5 vertices, where ties abound
+        for g in _all_labelled_graphs(5):
+            _assert_pinned_witness(g, range(g.n))
+
+    @given(small_graphs(max_n=10), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_witness_within(self, g, data):
+        within = data.draw(st.sets(st.integers(0, g.n - 1)))
+        _assert_pinned_witness(g, within)
+
+    def test_witness_where_greedy_falls_short(self):
+        # the branch order decides the witness only where the greedy seed is
+        # not maximum: here 150 of the first 5,800 graphs drawn
+        rng = random.Random(0)
+        found = 0
+        while found < 150:
+            n = rng.randint(7, 10)
+            p = rng.choice((0.3, 0.4, 0.5))
+            g = Graph.build(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            if len(_reference_greedy(g, range(n))) < independence_number(g):
+                found += 1
+                _assert_pinned_witness(g, range(n))
+
+
+def _all_labelled_graphs(max_n):
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            yield Graph.build(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+
+
+def _is_independent(g, vertices):
+    return not any(g.adj[v] & vertices for v in vertices)
+
+
+def _reference_greedy(g, within):
+    chosen, remaining = set(), set(within)
+    while remaining:
+        v = min(sorted(remaining), key=lambda x: len(g.adj[x] & remaining))
+        chosen.add(v)
+        remaining -= g.adj[v] | {v}
+    return frozenset(chosen)
+
+
+def _reference_witness(g, within, alpha):
+    """The set maximum_independent_set's documented rule picks, on plain sets.
+
+    Greedy seed: repeatedly the lowest-index vertex of minimum degree in the
+    remaining induced subgraph. If it is not maximum, the first set of size
+    ``alpha`` at a leaf of the unpruned branch tree: branch on the
+    highest-degree candidate (lowest index on ties), taking it first, then
+    leaving it out.
+    """
+    chosen = _reference_greedy(g, within)
+    if len(chosen) == alpha:
+        return chosen
+
+    def leaves(cand, taken):
+        if not cand:
+            yield taken
+            return
+        v = max(sorted(cand), key=lambda x: (len(g.adj[x] & cand), -x))
+        yield from leaves(cand - g.adj[v] - {v}, taken | {v})
+        yield from leaves(cand - {v}, taken)
+
+    return next(s for s in leaves(frozenset(within), frozenset()) if len(s) == alpha)
+
+
+def _assert_pinned_witness(g, within):
+    within = frozenset(within)
+    witness = maximum_independent_set(g, within=within)
+    alpha = brute_force_alpha(g, within)
+    assert witness <= within, g.edges
+    assert _is_independent(g, witness), g.edges
+    assert len(witness) == alpha == independence_number(g, within=within), g.edges
+    assert witness == _reference_witness(g, within, alpha), (g.edges, sorted(within))
+
 
 def _assert_valid_path(g, path):
     assert len(set(path)) == len(path)
@@ -255,11 +337,8 @@ class TestLongestPath:
     def test_lexicographically_smallest_on_every_small_graph(self):
         # random graphs rarely tie late in the search; all 1099 labelled
         # graphs on 1..5 vertices do
-        for n in range(1, 6):
-            pairs = list(itertools.combinations(range(n), 2))
-            for chosen in range(1 << len(pairs)):
-                g = Graph.build(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
-                assert longest_path(g) == _brute_force_longest_path(g, range(n)), g.edges
+        for g in _all_labelled_graphs(5):
+            assert longest_path(g) == _brute_force_longest_path(g, range(g.n)), g.edges
 
 
 class TestEndpointCycle:
@@ -332,3 +411,40 @@ class TestConnectedComponents:
             for b_ in comps:
                 if a is not b_:
                     assert not any(g.adj[v] & b_ for v in a)
+
+    @given(small_graphs(max_n=12), st.data())
+    @settings(max_examples=100)
+    def test_component_masks_match_set_bfs(self, g, data):
+        mask = data.draw(st.integers(0, g.full_mask))
+        left = {v for v in range(g.n) if mask >> v & 1}
+        expected = []
+        while left:
+            start = min(left)
+            comp, frontier = {start}, {start}
+            while frontier:
+                frontier = {w for v in frontier for w in g.adj[v] & left} - comp
+                comp |= frontier
+            expected.append(sum(1 << v for v in comp))
+            left -= comp
+        assert list(component_masks(g.adj_bits, mask)) == expected
+
+
+class TestWithinRange:
+    """Every entry point that takes a vertex set refuses a vertex outside
+    0..n-1 with the wording Graph.build uses for edges."""
+
+    ENTRY_POINTS = {
+        "longest_path": lambda g, w: longest_path(g, within=w),
+        "maximum_independent_set": lambda g, w: maximum_independent_set(g, within=w),
+        "independence_number": lambda g, w: independence_number(g, within=w),
+        "connected_components": lambda g, w: connected_components(g, within=w),
+        "posa_cover": posa_cover,
+        "spanning_in_range": lambda g, w: spanning_in_range(g, w, 4),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("n, bad", [(4, 4), (4, 7), (4, -1), (0, 0)])
+    def test_out_of_range_vertex(self, entry, n, bad):
+        g, within = (cycle_graph(n), [0, 1, bad]) if n else (Graph.build(0, []), [bad])
+        with pytest.raises(ValueError, match=rf"^vertex {bad} outside 0\.\.{n - 1}$"):
+            self.ENTRY_POINTS[entry](g, within)
