@@ -53,13 +53,13 @@ from .heuristic import (
     ExchangeMove,
     HeuristicResult,
     SearchState,
-    SolveMemo,
     enumerate_moves,
     improve,
     initial_subgraph,
     posa_cover,
     solve,
 )
+from .memo import SolveMemo
 from .oracle import OracleResult, min_small_components_exact, min_small_components_naive
 
 __version__ = "0.1.0"

@@ -35,7 +35,8 @@ from .harness import (
     write_jsonl,
     write_reproducers,
 )
-from .heuristic import SolveMemo, solve as heuristic_solve
+from .heuristic import solve as heuristic_solve
+from .memo import SolveMemo
 from .oracle import min_small_components_exact
 
 EXIT_OK = 0
@@ -119,7 +120,7 @@ def _cmd_solve(args) -> int:
     exact = None
     heur = None
     if args.mode in ("oracle", "both"):
-        exact = min_small_components_exact(g, args.b)
+        exact = min_small_components_exact(g, args.b, memo=memo)
         print(f"oracle_optimum={exact.optimum}")
         print("oracle witness:")
         print(factor_to_text(exact.witness))

@@ -34,19 +34,17 @@ def norm_edge(u: int, v: int) -> Edge:
 def within_mask(g: Graph, within) -> int:
     """Bitmask of the vertices ``within`` (all of g when None).
 
-    A vertex outside 0..n-1 raises ValueError; the range check is one shift
-    of the finished mask.
+    A vertex outside 0..n-1 raises ValueError, checked before its bit is
+    set, so a huge vertex number allocates nothing.
     """
     if within is None:
         return g.full_mask
+    n = g.n
     m = 0
-    try:
-        for v in within:
-            m |= 1 << v
-    except ValueError:  # negative shift count
-        raise ValueError(f"vertex {v} outside 0..{g.n - 1}") from None
-    if m >> g.n:
-        raise ValueError(f"vertex {m.bit_length() - 1} outside 0..{g.n - 1}")
+    for v in within:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} outside 0..{n - 1}")
+        m |= 1 << v
     return m
 
 

@@ -24,7 +24,8 @@ from dataclasses import asdict, dataclass, fields
 
 from .errors import CapacityError
 from .graph import Graph, min_degree, to_edge_list
-from .heuristic import SolveMemo, solve
+from .heuristic import solve
+from .memo import SolveMemo
 from .oracle import OracleResult, min_small_components_exact
 
 REPORT_SCHEMA = 1
@@ -86,8 +87,9 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
     flag and make the row informational. Values that break
     oracle <= heuristic <= alpha, or an oracle witness whose small count is
     not the optimum, make the row SOLVER_INCONSISTENT. ``memo``, when given,
-    must be a ``SolveMemo`` of this very graph; it holds alpha(G) with the
-    solver's searches, and other rows of the same graph may share it.
+    must be a ``SolveMemo`` of this very graph; it holds alpha(G), the
+    oracle's scan and the solver's searches, and other rows of the same
+    graph may share it.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -112,7 +114,7 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
             bound = theorem_bound(alpha, delta, b)
             kl = 2 * alpha <= b * (delta - 1)
         if mode in ("oracle", "both"):
-            exact = min_small_components_exact(g, b)
+            exact = min_small_components_exact(g, b, memo=memo)
         if mode in ("heuristic", "both"):
             heur = solve(g, b, memo=memo).small_count
     except CapacityError:

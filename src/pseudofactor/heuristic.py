@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .factor import PseudoFactor, is_2b_subgraph
 from .graph import (
@@ -21,11 +20,11 @@ from .graph import (
     Graph,
     connected_components,
     endpoint_cycle,
-    independence_number,
     longest_path,
     norm_edge,
     within_mask,
 )
+from .memo import SolveMemo
 
 #: the improvement loop's safety net, read at each call
 MAX_STEPS = 200
@@ -83,44 +82,6 @@ class HeuristicResult:
     @property
     def small_count(self) -> int:
         return self.factor.small_count
-
-
-class SolveMemo:
-    """The searches on one graph that do not depend on b, each run on first
-    use and then shared by every stage and every b that asks: the seed path,
-    alpha of each induced subgraph met (keyed by the mask of its vertex set,
-    so alpha(G) is the entry of the full set and each alpha(G - F) the entry
-    of ``V - F``) and the cover of each leftover set (keyed by its mask). A
-    search that refuses stores nothing, so every call that needs it is
-    refused again."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.alphas: dict[int, int] = {}
-        self.covers: dict[int, tuple[CoverPiece, ...]] = {}
-
-    @classmethod
-    def of(cls, g: Graph, memo: SolveMemo | None) -> SolveMemo:
-        """``memo``, checked to belong to ``g``; a fresh memo when None."""
-        if memo is None:
-            return cls(g)
-        if memo.g is not g:
-            raise ValueError("memo belongs to another graph")
-        return memo
-
-    @cached_property
-    def path(self) -> tuple[int, ...]:
-        """``longest_path(g)``, the solver's seed path."""
-        return longest_path(self.g)
-
-    def alpha(self, within) -> int:
-        """alpha(G[within]), searched once per vertex set."""
-        mask = within_mask(self.g, within)
-        val = self.alphas.get(mask)
-        if val is None:
-            val = independence_number(self.g, within=within)
-            self.alphas[mask] = val
-        return val
 
 
 def _make_state(g: Graph, f_edges, memo: SolveMemo) -> SearchState:

@@ -1,0 +1,56 @@
+"""One graph's searches that do not depend on b, shared by every stage and
+every b row of that graph.
+
+The memo sits below both solvers, so the exact oracle can keep its scan in it
+without importing the constructive solver.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from typing import TYPE_CHECKING
+
+from .graph import Graph, independence_number, longest_path, within_mask
+
+if TYPE_CHECKING:
+    from .heuristic import CoverPiece
+
+
+class SolveMemo:
+    """The searches on one graph that do not depend on b, each run on first
+    use and then shared by every stage and every b that asks: the seed path,
+    alpha of each induced subgraph met (keyed by the mask of its vertex set,
+    so alpha(G) is the entry of the full set and each alpha(G - F) the entry
+    of ``V - F``), the cover of each leftover set (keyed by its mask) and the
+    exact oracle's matching-table scan (``scan``, filled by
+    ``min_small_components_exact``). A search that refuses stores nothing, so
+    every call that needs it is refused again."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.alphas: dict[int, int] = {}
+        self.covers: dict[int, tuple[CoverPiece, ...]] = {}
+        self.scan: tuple[list[int], list[int]] | None = None
+
+    @classmethod
+    def of(cls, g: Graph, memo: SolveMemo | None) -> SolveMemo:
+        """``memo``, checked to belong to ``g``; a fresh memo when None."""
+        if memo is None:
+            return cls(g)
+        if memo.g is not g:
+            raise ValueError("memo belongs to another graph")
+        return memo
+
+    @cached_property
+    def path(self) -> tuple[int, ...]:
+        """``longest_path(g)``, the solver's seed path."""
+        return longest_path(self.g)
+
+    def alpha(self, within) -> int:
+        """alpha(G[within]), searched once per vertex set."""
+        mask = within_mask(self.g, within)
+        val = self.alphas.get(mask)
+        if val is None:
+            val = independence_number(self.g, within=within)
+            self.alphas[mask] = val
+        return val

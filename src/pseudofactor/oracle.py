@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import CapacityError
 from .factor import PseudoFactor, spanning_in_range
 from .graph import Edge, Graph, bits, norm_edge
+from .memo import SolveMemo
 
 #: largest instance accepted by the matching-table scan
 ORACLE_LIMIT = 15
@@ -32,22 +33,10 @@ class OracleResult:
     blocks: tuple[tuple[int, ...], ...]
 
 
-def min_small_components_exact(g: Graph, b: int) -> OracleResult:
-    """Minimum count of edge/vertex components over all pseudo [2,b]-factors,
-    with a witness factor attaining it; ``blocks`` are the witness's
-    component vertex tuples.
-
-    Candidate large parts S are tried in order of (small components, vertex
-    components, bitmask of S); the first feasible one wins. The matching of
-    V - S is rebuilt lowest vertex first, leaving a vertex single whenever
-    that keeps the matching maximum, else pairing it with its lowest
-    neighbor that does.
-    """
-    if b < 2:
-        raise ValueError(f"b must be at least 2, got {b}")
-    if g.n > ORACLE_LIMIT:
-        raise CapacityError(f"exact oracle limited to {ORACLE_LIMIT} vertices, got {g.n}")
-
+def _matching_scan(g: Graph) -> tuple[list[int], list[int]]:
+    """The part of the oracle that does not depend on b: the table ``nu`` of
+    maximum-matching sizes of every vertex subset, and the candidate large
+    parts in the order they are tried."""
     full = g.full_mask
     adjb = g.adj_bits
     # Masks are filled by lowest vertex v, highest v first, as mask = v + rest
@@ -91,13 +80,44 @@ def min_small_components_exact(g: Graph, b: int) -> OracleResult:
         rest = full ^ large
         return (rest.bit_count() - nu[rest], rest.bit_count() - 2 * nu[rest], large)
 
-    for large in sorted(candidates, key=key):
+    candidates.sort(key=key)
+    return nu, candidates
+
+
+def min_small_components_exact(g: Graph, b: int, memo: SolveMemo | None = None) -> OracleResult:
+    """Minimum count of edge/vertex components over all pseudo [2,b]-factors,
+    with a witness factor attaining it; ``blocks`` are the witness's
+    component vertex tuples.
+
+    Candidate large parts S are tried in order of (small components, vertex
+    components, bitmask of S); the first feasible one wins. The matching of
+    V - S is rebuilt lowest vertex first, leaving a vertex single whenever
+    that keeps the matching maximum, else pairing it with its lowest
+    neighbor that does.
+
+    The table and the ordered candidates do not depend on b; they are built
+    once per ``memo``, which, when given, must be a ``SolveMemo`` of this very
+    graph, so calls for several b may share it. A capacity refusal stores
+    nothing.
+    """
+    if b < 2:
+        raise ValueError(f"b must be at least 2, got {b}")
+    memo = SolveMemo.of(g, memo)
+    if g.n > ORACLE_LIMIT:
+        raise CapacityError(f"exact oracle limited to {ORACLE_LIMIT} vertices, got {g.n}")
+    if memo.scan is None:
+        memo.scan = _matching_scan(g)
+    nu, candidates = memo.scan
+
+    for large in candidates:
         chosen = spanning_in_range(g, bits(large), b) if large else ()
         if chosen is not None:
             break
 
     edges: list[Edge] = list(chosen)
-    rest = full ^ large
+    rest = g.full_mask ^ large
+    optimum = rest.bit_count() - nu[rest]
+    adjb = g.adj_bits
     while rest:
         low = rest & -rest
         v = low.bit_length() - 1
@@ -110,7 +130,7 @@ def min_small_components_exact(g: Graph, b: int) -> OracleResult:
 
     witness = PseudoFactor.build(g, edges, b)
     blocks = tuple(c.vertices for c in witness.components)
-    return OracleResult(key(large)[0], witness, blocks)
+    return OracleResult(optimum, witness, blocks)
 
 
 # ---------------------------------------------------------------------------

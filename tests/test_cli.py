@@ -138,7 +138,7 @@ def test_solve_impossible_heuristic_value(capsys, monkeypatch, value):
 def test_solve_witness_must_attain_optimum(capsys, monkeypatch):
     real = min_small_components_exact
 
-    def shifted(g, b):
+    def shifted(g, b, memo=None):
         result = real(g, b)
         return OracleResult(result.optimum + 1, result.witness, result.blocks)
 
@@ -232,7 +232,7 @@ def test_verify_strict_capacity(tmp_path, capsys):
 def test_verify_violation_exit_code(tmp_path, capsys, monkeypatch):
     real = min_small_components_exact
 
-    def inflated(g, b):
+    def inflated(g, b, memo=None):
         result = real(g, b)
         return OracleResult(result.optimum + 99, result.witness, result.blocks)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -448,3 +449,15 @@ class TestWithinRange:
         g, within = (cycle_graph(n), [0, 1, bad]) if n else (Graph.build(0, []), [bad])
         with pytest.raises(ValueError, match=rf"^vertex {bad} outside 0\.\.{n - 1}$"):
             self.ENTRY_POINTS[entry](g, within)
+
+    def test_range_checked_before_the_shift(self):
+        # 1 << 10**8 alone would take 12 MB; the refusal must come first
+        g = cycle_graph(4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^vertex 100000000 outside 0\.\.3$"):
+                longest_path(g, within=[0, 10**8])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

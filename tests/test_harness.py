@@ -9,6 +9,8 @@ import pytest
 import pseudofactor.cli as cli
 import pseudofactor.graph as graph_module
 import pseudofactor.harness as harness
+import pseudofactor.memo as memo_module
+import pseudofactor.oracle as oracle_module
 from pseudofactor import heuristic
 from pseudofactor.generators import (
     complete_graph,
@@ -67,7 +69,7 @@ def spy_full_graph(monkeypatch, name: str) -> list[Graph]:
             calls.append(g)
         return original(g, within=within)
 
-    for module in (graph_module, harness, heuristic, cli):
+    for module in (graph_module, memo_module, harness, heuristic, cli):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, spy)
     return calls
@@ -151,7 +153,7 @@ class TestVerifyInstance:
         # b = 3 carries no guarantee, so only the witness check can catch it
         real = min_small_components_exact
 
-        def shifted(g, b):
+        def shifted(g, b, memo=None):
             result = real(g, b)
             return OracleResult(result.optimum + 1, result.witness, result.blocks)
 
@@ -162,7 +164,7 @@ class TestVerifyInstance:
     def test_bound_violation_takes_precedence(self, monkeypatch):
         real = min_small_components_exact
 
-        def inflated(g, b):
+        def inflated(g, b, memo=None):
             result = real(g, b)
             return OracleResult(result.optimum + 99, result.witness, result.blocks)
 
@@ -283,6 +285,32 @@ class TestRunCorpus:
             assert calls == distinct
         assert sizes == [2]
 
+    @pytest.mark.parametrize("mode", ["oracle", "both"])
+    def test_b_rows_share_the_oracle_scan(self, monkeypatch, mode):
+        items = [(f"gnp {s}", gnp(8, 0.45, s)) for s in range(4)]
+        expected = [
+            verify_instance(g, b, mode=mode, instance=instance)
+            for instance, g in items
+            for b in (4, 5, 6)
+        ]
+        original = oracle_module._matching_scan
+        calls = []
+
+        def spy(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(oracle_module, "_matching_scan", spy)
+        sizes = []
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", fake_pool(sizes))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        for jobs in (1, 2):  # serial, then per-graph tasks through the pool
+            calls.clear()
+            run = run_corpus(items, [4, 5, 6], mode=mode, jobs=jobs)
+            assert list(run.reports) == expected
+            assert calls == [g for _, g in items]
+        assert sizes == [2]
+
     def test_refusals_are_not_shared(self, monkeypatch):
         path_calls = spy_full_graph(monkeypatch, "longest_path")
         over_path = [("n19", gnp(19, 0.3, 1))]
@@ -290,9 +318,20 @@ class TestRunCorpus:
         assert [r.status for r in run.reports] == ["capacity_skipped"] * 3
         assert len(path_calls) == 3  # each row asks again and is refused again
         path_calls.clear()
+        real = min_small_components_exact
+        oracle_calls = []
+
+        def counting(g, b, memo=None):
+            oracle_calls.append(b)
+            return real(g, b, memo=memo)
+
+        monkeypatch.setattr(harness, "min_small_components_exact", counting)
         over_oracle = [("n16", gnp(16, 0.3, 1))]
-        run = run_corpus(over_oracle, [4, 5, 6], mode="both")
-        assert [r.status for r in run.reports] == ["capacity_skipped"] * 3
+        for mode in ("oracle", "both"):
+            oracle_calls.clear()
+            run = run_corpus(over_oracle, [4, 5, 6], mode=mode)
+            assert [r.status for r in run.reports] == ["capacity_skipped"] * 3
+            assert oracle_calls == [4, 5, 6]  # each row asks again and is refused again
         assert path_calls == []  # the oracle refuses before the solver runs
 
     def test_memo_of_another_graph_rejected(self):
@@ -306,7 +345,7 @@ class TestRunCorpus:
         # ceiling to exercise the loud-failure path
         real = min_small_components_exact
 
-        def inflated(g, b):
+        def inflated(g, b, memo=None):
             result = real(g, b)
             return OracleResult(result.optimum + 99, result.witness, result.blocks)
 

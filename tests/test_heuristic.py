@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_graphs
+import pseudofactor.memo as memo_module
 from pseudofactor import heuristic
 from pseudofactor.factor import validate_pseudo_factor
 from pseudofactor.generators import (
@@ -309,6 +310,8 @@ class TestSolve:
             calls.append(within)
             return longest_path(g, within=within)
 
+        # the seed path is the memo's search; the cover searches in heuristic
+        monkeypatch.setattr(memo_module, "longest_path", counting)
         monkeypatch.setattr(heuristic, "longest_path", counting)
         g = pendant_sharpness(cycle_graph(3))
         assert solve(g, 4).fallback

@@ -17,6 +17,7 @@ from pseudofactor.generators import (
     pendant_sharpness,
 )
 from pseudofactor.graph import Graph, bits
+from pseudofactor.memo import SolveMemo
 from pseudofactor.oracle import min_small_components_exact, min_small_components_naive
 
 
@@ -88,6 +89,35 @@ class TestExact:
             g = gnp(8, 0.45, seed)
             values = [min_small_components_exact(g, b).optimum for b in (2, 4, 5, 6)]
             assert all(earlier >= later for earlier, later in zip(values, values[1:]))
+
+
+class TestSharedScan:
+    """One memo carries the b-independent scan across a graph's b rows."""
+
+    @given(small_graphs(max_n=9), st.permutations(range(2, 7)))
+    @settings(max_examples=100, deadline=None)
+    def test_shared_memo_changes_nothing(self, g, b_values):
+        memo = SolveMemo(g)
+        for b in b_values:
+            shared = min_small_components_exact(g, b, memo=memo)
+            own = min_small_components_exact(g, b)
+            assert shared.optimum == own.optimum
+            assert shared.witness.edges == own.witness.edges
+            assert shared.blocks == own.blocks
+
+    def test_memo_of_another_graph_rejected(self):
+        g = cycle_graph(5)
+        twin = cycle_graph(5)  # equal, but not the same graph
+        with pytest.raises(ValueError, match="another graph"):
+            min_small_components_exact(g, 4, memo=SolveMemo(twin))
+
+    def test_refusal_stores_nothing(self, monkeypatch):
+        g = complete_graph(6)
+        memo = SolveMemo(g)
+        monkeypatch.setattr(oracle, "ORACLE_LIMIT", 5)
+        with pytest.raises(CapacityError):
+            min_small_components_exact(g, 4, memo=memo)
+        assert memo.scan is None
 
 
 def _matching_number(g: Graph, verts: frozenset[int]) -> int:

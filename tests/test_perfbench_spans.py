@@ -1,7 +1,8 @@
 """The benchmark's files, read without changing them.
 
 The traced benchmark run wraps package functions by name; a rename or a
-deletion must fail here rather than crash ``perfbench/run.py --trace 1``. The
+deletion must fail here rather than crash ``perfbench/run.py --trace 1``, and
+so must a result that a traced counter cannot read. The
 workload names must agree across ``BENCHMARK.json``, ``perfbench/workloads.py``
 and ``perfbench/expected.json``, so that re-picking a workload cannot leave one
 of them behind."""
@@ -11,6 +12,9 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+
+from pseudofactor.generators import gnp
+from pseudofactor.harness import verify_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -35,6 +39,23 @@ def test_every_traced_function_resolves(monkeypatch):
             assert hasattr(target, part), f"{name}: {module_name}.{attr} is missing"
             target = getattr(target, part)
         assert callable(target), f"{name}: {module_name}.{attr} is not callable"
+
+
+def test_result_counters_read_what_traced_functions_return(monkeypatch):
+    # a counter reads its function's result (the length of the move list, for
+    # one); a result it cannot read must fail here, not in a traced run
+    spans = _load("perfbench_spans", SPANS, monkeypatch)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for seed in range(4):
+            verify_instance(gnp(8, 0.45, seed), 4, mode="both")
+    finally:
+        tracer.restore()
+    totals = tracer.aggregate()
+    for name, (counter, _) in spans.RESULT_COUNTERS.items():
+        assert totals[f"{name}.calls"] > 0, f"{name} never ran"
+        assert isinstance(totals[counter], int), counter
 
 
 def test_workload_names_agree(monkeypatch):
