@@ -5,7 +5,14 @@ a proof-style exchange heuristic, bound-tight instance families, and a
 verification harness for the ceiling max(0, alpha - floor(b*(delta-1)/2)).
 """
 
-from .errors import CapacityError, FactorError, GraphParseError, ManifestError, ParseError
+from .errors import (
+    CapacityError,
+    FactorError,
+    GraphParseError,
+    ManifestError,
+    NonMaximalPathError,
+    ParseError,
+)
 from .factor import (
     ComponentClass,
     FactorComponent,

@@ -8,9 +8,10 @@ Subcommands:
 
 Exit codes: 0 ok, 2 parse error (or invalid option value, or a path that
 cannot be opened), 3 capacity refusal in strict mode, 4 bound violation,
-5 internal error (an invalid factor built by the oracle or the solver, or
-values that break oracle <= solver <= alpha or the witness's optimum: a
-SOLVER_INCONSISTENT row in verify, a SOLVER INCONSISTENT line in solve).
+5 internal error (an invalid factor built by the oracle or the solver, a
+non-maximal path handed to endpoint_cycle, or values that break
+oracle <= solver <= alpha or the witness's optimum: a SOLVER_INCONSISTENT
+row in verify, a SOLVER INCONSISTENT line in solve).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import CapacityError, FactorError, ParseError
+from .errors import CapacityError, FactorError, NonMaximalPathError, ParseError
 from .factor import factor_to_text
 from .generators import FamilySpec, parse_manifest
 from .graph import Graph, min_degree, read_graph_file, to_edge_list
@@ -240,8 +241,8 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except FactorError as exc:
-        # FactorError subclasses ValueError but is never the user's input
+    except (FactorError, NonMaximalPathError) as exc:
+        # both subclass ValueError but are never the user's input
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:

@@ -21,6 +21,14 @@ class ManifestError(ParseError):
     """Malformed family spec or corpus manifest line."""
 
 
+class NonMaximalPathError(ValueError):
+    """A path handed to ``endpoint_cycle`` misses a neighbor of its endpoint.
+
+    The solver only hands it longest paths, which are maximal, so this is an
+    internal fault, never the user's input.
+    """
+
+
 class FactorError(ValueError):
     """An edge set that is not a valid pseudo factor of its graph."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapacityError, GraphParseError
+from .errors import CapacityError, GraphParseError, NonMaximalPathError
 
 Edge = tuple[int, int]
 
@@ -333,10 +333,18 @@ def longest_path(g: Graph, within=None) -> tuple[int, ...]:
     therefore prune it without changing the answer. The bound at vertex v
     with reachable unvisited set R is ``len(path) + |R| - max(0, ends - 1)``,
     where ``ends`` counts the vertices of R with exactly one neighbor in
-    R + v: such a vertex can only be the last one of the path. Start
-    vertices stop once ``best`` spans a largest component. Exponential;
-    refuses instances above LONGEST_PATH_LIMIT vertices, and vertices
-    outside 0..n-1 raise ValueError.
+    R + v: such a vertex can only be the last one of the path. One bitmask
+    walk builds R and, in two masks, the vertices with at least one
+    (``once``, started from v's neighbors) and at least two (``twice``)
+    neighbors among v and the vertices walked so far; ``ends`` is then
+    ``R & ~twice``. The bound is skipped at a forced step, where v has one
+    extension u: the child's R is R - u, one vertex fewer for a path one
+    vertex longer, with no fewer ends, so the child's bound is no weaker;
+    and a subtree that a valid bound prunes holds no strictly longer path,
+    so ``best`` changes at the same paths either way. Start vertices stop
+    once ``best`` spans a largest component. Exponential; refuses instances
+    above LONGEST_PATH_LIMIT vertices, and vertices outside 0..n-1 raise
+    ValueError.
     """
     mask = within_mask(g, within)
     k = mask.bit_count()
@@ -356,30 +364,28 @@ def longest_path(g: Graph, within=None) -> tuple[int, ...]:
         if not ext:
             return
         # the bitmask walks below are _reachable and bits() written inline,
-        # in the same ascending order: this is the hot loop of the solver
-        reach = frontier = ext
-        while frontier:
-            nxt = 0
+        # in the same ascending order: this is the hot loop of the solver.
+        # A forced step (one extension) skips the bound: its child's own
+        # bound is no weaker
+        if ext & (ext - 1):
+            # one walk builds the reach R and the vertices with at least one
+            # (once) and at least two (twice) neighbours in R + v
+            reach = frontier = ext
+            once = adj[v]
+            twice = 0
             while frontier:
-                low = frontier & -frontier
-                nxt |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & avail & ~reach
-            reach |= frontier
-        slack = len(path) + reach.bit_count() - len(best)
-        if slack <= 0:
-            return
-        scope = reach | (1 << v)
-        ends = 0
-        rest = reach
-        while rest:
-            low = rest & -rest
-            x = adj[low.bit_length() - 1] & scope
-            if not x & (x - 1):
-                ends += 1
-            rest ^= low
-        if ends - 1 >= slack:
-            return
+                while frontier:
+                    low = frontier & -frontier
+                    a = adj[low.bit_length() - 1]
+                    twice |= once & a
+                    once |= a
+                    frontier ^= low
+                frontier = once & avail & ~reach
+                reach |= frontier
+            # ``or 1`` makes ends - 1 read max(0, ends - 1) without a call
+            ends = (reach & ~twice).bit_count() or 1
+            if ends - 1 >= len(path) + reach.bit_count() - len(best):
+                return
         while ext:
             low = ext & -ext
             u = low.bit_length() - 1
@@ -402,9 +408,10 @@ def endpoint_cycle(g: Graph, path, within=None):
     farthest neighbor on the path, closed by that chord.
 
     Requires ``path`` to be maximal at u (all of u's neighbors lie on it),
-    which any longest path satisfies. Returns (vertices, edges); the cycle
-    always contains u and all of u's neighbors. Returns None when u has
-    fewer than two neighbors.
+    which any longest path satisfies; a path that is not raises
+    NonMaximalPathError. Returns (vertices, edges); the cycle always
+    contains u and all of u's neighbors. Returns None when u has fewer than
+    two neighbors.
     """
     path = tuple(path)
     u = path[0]
@@ -413,7 +420,7 @@ def endpoint_cycle(g: Graph, path, within=None):
         return None
     pos = {v: i for i, v in enumerate(path)}
     if not all(w in pos for w in nbrs):
-        raise ValueError("path is not maximal at its endpoint")
+        raise NonMaximalPathError("path is not maximal at its endpoint")
     far = max(pos[w] for w in nbrs)
     cyc = path[: far + 1]
     edges = tuple(norm_edge(cyc[i], cyc[i + 1]) for i in range(len(cyc) - 1))

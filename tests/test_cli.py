@@ -6,6 +6,7 @@ from test_harness import spy_full_graph
 
 import pseudofactor.cli as cli
 import pseudofactor.harness as harness
+import pseudofactor.memo as memo_module
 from pseudofactor.cli import main
 from pseudofactor.errors import FactorError
 from pseudofactor.generators import gnp
@@ -120,6 +121,14 @@ def test_solve_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "heuristic_solve", broken)
     assert main(["solve", "--family", "cycle n=5", "-b", "4", "--mode", "heuristic"]) == 5
     assert "internal error:" in capsys.readouterr().err
+
+
+def test_solve_non_maximal_path_is_internal(capsys, monkeypatch):
+    # the seed path misses vertex 4, a neighbour of its endpoint 0 on C5
+    monkeypatch.setattr(memo_module, "longest_path", lambda g, within=None: (0, 1, 2))
+    assert main(["solve", "--family", "cycle n=5", "-b", "4", "--mode", "heuristic"]) == 5
+    err = capsys.readouterr().err
+    assert "internal error:" in err and "not maximal" in err
 
 
 @pytest.mark.parametrize("value", [-1, 3])

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_alpha, petersen, small_graphs
-from pseudofactor.errors import CapacityError, GraphParseError
+from pseudofactor.errors import CapacityError, GraphParseError, NonMaximalPathError
 from pseudofactor.factor import spanning_in_range
-from pseudofactor.generators import complete_graph, cycle_graph, path_graph
+from pseudofactor.generators import complete_graph, cycle_graph, gnp, path_graph
 from pseudofactor.graph import (
     DECLARED_VERTEX_LIMIT,
     INDEPENDENCE_LIMIT,
@@ -292,6 +292,70 @@ def _brute_force_longest_path(g, within):
     raise AssertionError("a single vertex is always a path")
 
 
+def _reference_longest_path(g, within):
+    """First longest path in lexicographic order, by an unpruned DFS over
+    vertex sets: every path is visited, by ascending start and neighbour,
+    and only a strictly longer path replaces the one kept."""
+    allowed = set(within)
+    best: list[int] = []
+    path: list[int] = []
+
+    def extend(v):
+        nonlocal best
+        if len(path) > len(best):
+            best = list(path)
+        for u in sorted(g.adj[v] & allowed):
+            if u not in path:
+                path.append(u)
+                extend(u)
+                path.pop()
+
+    for s in sorted(allowed):
+        path = [s]
+        extend(s)
+    return tuple(best)
+
+
+def _relabelled(n, edges, perm):
+    return Graph.build(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _cycle_edges(first, length):
+    return [(first + i, first + (i + 1) % length) for i in range(length)]
+
+
+def _path_edges(vertices):
+    return list(zip(vertices, vertices[1:]))
+
+
+@st.composite
+def chain_graphs(draw):
+    """Graphs made of long single-extension chains, vertices shuffled: a
+    cycle with a tail, a theta graph (two vertices joined by three disjoint
+    paths) or two cycles joined by a path; at most 16 vertices."""
+    kind = draw(st.sampled_from(["tail", "theta", "dumbbell"]))
+    if kind == "tail":
+        c, t = draw(st.integers(3, 9)), draw(st.integers(1, 7))
+        n = c + t
+        edges = _cycle_edges(0, c) + _path_edges([0] + list(range(c, n)))
+    elif kind == "theta":
+        # the first path may be the edge 0-1 itself
+        lengths = [draw(st.integers(0, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))]
+        n, edges = 2, []
+        for inner in lengths:
+            edges += _path_edges([0] + list(range(n, n + inner)) + [1])
+            n += inner
+    else:
+        c1, c2, gap = draw(st.integers(3, 6)), draw(st.integers(3, 6)), draw(st.integers(0, 4))
+        n = c1 + c2 + gap
+        edges = (
+            _cycle_edges(0, c1)
+            + _cycle_edges(c1, c2)
+            + _path_edges([0] + list(range(c1 + c2, n)) + [c1])
+        )
+    return _relabelled(n, edges, draw(st.permutations(range(n))))
+
+
 class TestLongestPath:
     def test_c5_hamilton(self):
         path = longest_path(cycle_graph(5))
@@ -335,6 +399,22 @@ class TestLongestPath:
         within = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
         assert longest_path(g, within=within) == _brute_force_longest_path(g, within)
 
+    @given(st.integers(8, 16), st.floats(0.1, 0.3), st.integers(0, 2**32), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_unpruned_search_on_sparse_graphs(self, n, p, seed, data):
+        g = gnp(n, p, seed)
+        within = data.draw(st.one_of(st.none(), st.sets(st.integers(0, n - 1), min_size=1)))
+        pool = range(n) if within is None else within
+        assert longest_path(g, within=within) == _reference_longest_path(g, pool)
+
+    @given(chain_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_unpruned_search_on_chains(self, g, data):
+        # long forced stretches, where the search skips its bound
+        within = data.draw(st.one_of(st.none(), st.sets(st.integers(0, g.n - 1), min_size=1)))
+        pool = range(g.n) if within is None else within
+        assert longest_path(g, within=within) == _reference_longest_path(g, pool)
+
     def test_lexicographically_smallest_on_every_small_graph(self):
         # random graphs rarely tie late in the search; all 1099 labelled
         # graphs on 1..5 vertices do
@@ -363,7 +443,7 @@ class TestEndpointCycle:
 
     def test_non_maximal_path_rejected(self):
         g = cycle_graph(5)
-        with pytest.raises(ValueError):
+        with pytest.raises(NonMaximalPathError):
             endpoint_cycle(g, (0, 1, 2))
 
     @given(small_graphs(min_n=2))
