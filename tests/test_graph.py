@@ -316,10 +316,6 @@ def _reference_longest_path(g, within):
     return tuple(best)
 
 
-def _relabelled(n, edges, perm):
-    return Graph.build(n, [(perm[u], perm[v]) for u, v in edges])
-
-
 def _cycle_edges(first, length):
     return [(first + i, first + (i + 1) % length) for i in range(length)]
 
@@ -353,7 +349,8 @@ def chain_graphs(draw):
             + _cycle_edges(c1, c2)
             + _path_edges([0] + list(range(c1 + c2, n)) + [c1])
         )
-    return _relabelled(n, edges, draw(st.permutations(range(n))))
+    perm = draw(st.permutations(range(n)))
+    return Graph.build(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 class TestLongestPath:
