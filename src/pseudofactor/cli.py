@@ -96,6 +96,8 @@ def _cmd_generate(args) -> int:
 
 
 def _load_single_graph(args) -> tuple[str, Graph]:
+    if args.family is not None and args.graph is not None:
+        raise ParseError("give a graph file or --family, not both")
     if args.family is not None:
         spec = FamilySpec.parse(args.family)
         return spec.instance_id(), spec.build()

@@ -28,7 +28,6 @@ from .memo import SolveMemo
 
 #: the improvement loop's safety net, read at each call
 MAX_STEPS = 200
-MAX_EVALS = 20000
 
 #: move kinds, in the order they are tried (component-absorbing first,
 #: degree-shuffling next, deletion last)
@@ -212,35 +211,22 @@ def _deletable_segments(state: SearchState, f: Graph):
         yield removal
 
 
-def enumerate_moves(state: SearchState, g: Graph, b: int) -> list[ExchangeMove]:
-    """Candidate rewrites of F, every one already validated to yield a
-    degree-[2,b] subgraph. Empty when G - F has no component."""
-    if not state.d_vertices:
-        return []
-    moves: list[ExchangeMove] = []
-
-    def consider(kind: str, add: tuple[Edge, ...], remove: tuple[Edge, ...]):
-        new_edges = (state.f_edges - set(remove)) | set(add)
-        verts = frozenset(v for e in new_edges for v in e)
-        if is_2b_subgraph(g, verts, new_edges, b):
-            moves.append(ExchangeMove(kind, tuple(sorted(set(add))),
-                                      tuple(sorted(set(remove)))))
-
+def _candidates(state: SearchState, g: Graph, b: int):
+    """Unvalidated ``(kind, add, remove)`` rewrites of F, in ``MOVE_ORDER``.
+    Nothing when G - F has no component."""
     d = state.d_vertices
+    if not d:
+        return
+
+    # X4: absorb a cycle of D into F
     cyc = _cycle_within(g, d)
-
-    # X4: absorb a cycle of D into F. Every move but X7 keeps V(F) and adds
-    # part of D, so alpha(G - F) cannot rise and, if it stays, |D| drops: X4
-    # always improves, and as the first kind it is the only one improve tries.
     if cyc is not None:
-        consider("X4", cyc, ())
-        return moves
+        yield "X4", cyc, ()
 
-    att = state.attachments
     f = Graph.build(g.n, state.f_edges)
     fadj = f.adj
 
-    # X6: D is a tree; loop two of its leaves through a shared F-neighbor
+    # X6: loop two leaves of D through a shared F-neighbor
     if len(d) >= 2:
         d_leaves = sorted(v for v in d if len(g.adj[v] & d) == 1)
         for x0, y0 in itertools.combinations(d_leaves, 2):
@@ -253,26 +239,29 @@ def enumerate_moves(state: SearchState, g: Graph, b: int) -> list[ExchangeMove]:
             p_edges = _path_edges(p)
             for u in commons:
                 if len(fadj[u]) <= b - 2:
-                    consider("X6", (norm_edge(u, x0),) + p_edges + (norm_edge(u, y0),), ())
+                    yield "X6", (norm_edge(u, x0),) + p_edges + (norm_edge(u, y0),), ()
 
-    # moves through the connector of an attachment pair (a shortest path
-    # with internal vertices in D); the sort below puts the kinds in order
-    for ui, uj in itertools.combinations(att, 2):
+    # the connector of each attachment pair (a shortest path with internal
+    # vertices in D), walked once per kind: X2, then X1, then X3
+    pairs = []
+    for ui, uj in itertools.combinations(state.attachments, 2):
         p = _path_through(g, d, ui, uj)
-        if p is None:
-            continue
-        conn = _path_edges(p)
+        if p is not None:
+            pairs.append((ui, uj, _path_edges(p)))
 
-        # X2: bridge two attachments of degree <= b-1
+    # X2: bridge two attachments of degree <= b-1
+    for ui, uj, conn in pairs:
         if len(fadj[ui]) <= b - 1 and len(fadj[uj]) <= b - 1:
-            consider("X2", conn, ())
+            yield "X2", conn, ()
 
-        # X1: reroute an F-edge between the two attachments through D
+    # X1: reroute an F-edge between the two attachments through D
+    for ui, uj, conn in pairs:
         e = norm_edge(ui, uj)
         if e in state.f_edges:
-            consider("X1", conn, (e,))
+            yield "X1", conn, (e,)
 
-        # X3: detach one F-edge at each attachment, reconnect through D
+    # X3: detach one F-edge at each attachment, reconnect through D
+    for ui, uj, conn in pairs:
         for x in sorted(fadj[ui]):
             if x == uj:
                 continue
@@ -284,14 +273,28 @@ def enumerate_moves(state: SearchState, g: Graph, b: int) -> list[ExchangeMove]:
                         continue
                 elif len(fadj[x]) < 3 or len(fadj[y]) < 3:
                     continue
-                consider("X3", conn, (norm_edge(ui, x), norm_edge(uj, y)))
+                yield "X3", conn, (norm_edge(ui, x), norm_edge(uj, y))
 
     # X7: delete a maximal degree-2 segment of F
     for removal in _deletable_segments(state, f):
-        consider("X7", (), removal)
+        yield "X7", (), removal
 
-    order = {kind: i for i, kind in enumerate(MOVE_ORDER)}
-    moves.sort(key=lambda m: order[m.kind])
+
+def enumerate_moves(state: SearchState, g: Graph, b: int) -> list[ExchangeMove]:
+    """The rewrites of F that ``improve`` evaluates, validated to keep F a
+    degree-[2,b] subgraph and tried in ``MOVE_ORDER``. Every kind but X7 keeps
+    V(F) and adds part of D, so alpha(G - F) cannot rise and, if it stays, |D|
+    drops: the first valid such move improves and is returned alone.
+    Otherwise the list holds every valid X7 (empty when G - F is empty)."""
+    moves: list[ExchangeMove] = []
+    for kind, add, remove in _candidates(state, g, b):
+        new_edges = (state.f_edges - set(remove)) | set(add)
+        verts = frozenset(v for e in new_edges for v in e)
+        if is_2b_subgraph(g, verts, new_edges, b):
+            move = ExchangeMove(kind, tuple(sorted(set(add))), tuple(sorted(set(remove))))
+            if kind != "X7":
+                return [move]
+            moves.append(move)
     return moves
 
 
@@ -307,31 +310,25 @@ def improve(state: SearchState, g: Graph, b: int,
             memo: SolveMemo | None = None) -> ImproveOutcome:
     """Greedy first-improvement descent on (alpha(G-F), |D|, |V(F)|).
 
-    Returns once no enumerated move improves the objective, or with the
-    budget_exhausted flag set when MAX_STEPS steps or MAX_EVALS move
-    evaluations run out first.
+    Each step evaluates the moves ``enumerate_moves`` returns, in order, and
+    takes the first that improves the objective: one move, or at most one
+    X7 per maximal degree-2 segment of F. Returns once none improves, or
+    with the budget_exhausted flag set when MAX_STEPS steps run out first.
     """
     memo = SolveMemo.of(g, memo)
     steps: list[StepRecord] = []
-    evals = 0
     exhausted = False
     while len(steps) < MAX_STEPS:
         if not state.d_vertices:
             break
-        improved = False
         for move in enumerate_moves(state, g, b):
-            if evals >= MAX_EVALS:
-                exhausted = True
-                break
-            evals += 1
             candidate = apply_move(state, move, g, memo)
             if candidate.objective < state.objective:
                 steps.append(StepRecord(move.kind, state.objective, candidate.objective))
                 state = candidate
-                improved = True
                 break
-        if exhausted or not improved:
-            break
+        else:
+            break  # no move improves
     else:
         exhausted = True
     return ImproveOutcome(state, tuple(steps), exhausted)

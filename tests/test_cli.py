@@ -44,6 +44,16 @@ def test_solve_missing_input(capsys):
     assert main(["solve", "-b", "4"]) == 2
 
 
+def test_solve_file_and_family_together(tmp_path, capsys):
+    # neither input may be silently dropped for the other
+    path = tmp_path / "tri.edges"
+    path.write_text("n 3\n0 1\n1 2\n2 0\n")
+    assert main(["solve", str(path), "--family", "cycle n=5", "-b", "4"]) == 2
+    captured = capsys.readouterr()
+    assert "not both" in captured.err
+    assert "instance:" not in captured.out
+
+
 def test_solve_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.edges"
     path.write_text("0 1\n")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from conftest import small_graphs
 import pseudofactor.memo as memo_module
 from pseudofactor import heuristic
-from pseudofactor.factor import validate_pseudo_factor
+from pseudofactor.factor import is_2b_subgraph, validate_pseudo_factor
 from pseudofactor.generators import (
     complete_graph,
     cycle_graph,
@@ -17,6 +17,7 @@ from pseudofactor.generators import (
 from pseudofactor.graph import Graph, independence_number, longest_path
 from pseudofactor.heuristic import (
     MOVE_ORDER,
+    ExchangeMove,
     SolveMemo,
     apply_move,
     enumerate_moves,
@@ -26,6 +27,18 @@ from pseudofactor.heuristic import (
     solve,
 )
 from pseudofactor.oracle import min_small_components_exact
+
+
+def full_catalog(state, g, b):
+    """Every candidate rewrite that keeps the degree window, in the order
+    enumerate_moves tries them."""
+    moves = []
+    for kind, add, remove in heuristic._candidates(state, g, b):
+        new_edges = (state.f_edges - set(remove)) | set(add)
+        verts = frozenset(v for e in new_edges for v in e)
+        if is_2b_subgraph(g, verts, new_edges, b):
+            moves.append(ExchangeMove(kind, tuple(sorted(set(add))), tuple(sorted(set(remove)))))
+    return moves
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
@@ -86,8 +99,6 @@ class TestEnumerateMoves:
         assert "X7" in kinds
 
     def test_every_move_preserves_the_degree_window(self):
-        from pseudofactor.factor import is_2b_subgraph
-
         for seed in range(15):
             g = gnp(8, 0.45, seed)
             state = initial_subgraph(g)
@@ -98,14 +109,14 @@ class TestEnumerateMoves:
 
 
     def test_kinds_follow_move_order(self, monkeypatch):
-        # X2, X1 and X3 come out of one loop over attachment pairs, so only
-        # the final sort keeps each kind together and in MOVE_ORDER
-        per_state = []
+        # the full validated catalog comes out in MOVE_ORDER (X2, X1 and X3
+        # share each attachment pair's connector but are walked kind by kind);
+        # enumerate_moves stops at its first entry unless that is an X7
+        visited = []
 
         def recording(state, g, b):
-            moves = enumerate_moves(state, g, b)
-            per_state.append([m.kind for m in moves])
-            return moves
+            visited.append((state, g, b))
+            return enumerate_moves(state, g, b)
 
         monkeypatch.setattr(heuristic, "enumerate_moves", recording)
         for n in range(7, 11):
@@ -113,10 +124,23 @@ class TestEnumerateMoves:
                 for seed in range(5):
                     solve(gnp(n, 0.4, seed), b)
         rank = {kind: i for i, kind in enumerate(MOVE_ORDER)}
-        for kinds in per_state:
-            ranks = [rank[k] for k in kinds]
-            assert ranks == sorted(ranks), kinds
-        assert any(len({"X1", "X2", "X3"} & set(kinds)) >= 2 for kinds in per_state)
+        catalogs = []
+        for state, g, b in visited:
+            full = full_catalog(state, g, b)
+            catalogs.append([m.kind for m in full])
+            ranks = [rank[m.kind] for m in full]
+            assert ranks == sorted(ranks), catalogs[-1]
+            moves = enumerate_moves(state, g, b)
+            assert moves == (full[:1] if full and full[0].kind != "X7" else full)
+            # every move but X7 keeps V(F) and adds part of D, so alpha(G - F)
+            # cannot rise and, if it stays, |D| drops
+            memo = SolveMemo(g)
+            for move in full:
+                if move.kind != "X7":
+                    assert apply_move(state, move, g, memo).objective < state.objective, move
+        assert any(len({"X1", "X2", "X3"} & set(kinds)) >= 2 for kinds in catalogs)
+        assert any(kinds[:1] == ["X4"] and len(kinds) >= 2 for kinds in catalogs)
+        assert any(kinds.count("X7") == len(kinds) >= 2 for kinds in catalogs)
 
     @given(st.integers(5, 12), st.sampled_from((0.25, 0.3, 0.35, 0.4, 0.5)),
            st.integers(0, 10**6), st.integers(2, 6))
@@ -125,8 +149,7 @@ class TestEnumerateMoves:
     @example(9, 0.35, 10, 2)
     @settings(max_examples=150, deadline=None)
     def test_cycle_in_d_leaves_x4_alone(self, n, p, seed, b):
-        # every move but X7 keeps V(F) and adds part of D, so alpha(G - F)
-        # cannot rise and, if it stays, |D| drops; X4 therefore always wins
+        # X4 comes first in MOVE_ORDER and always keeps the degree window
         g = gnp(n, p, seed)
         state = initial_subgraph(g)
         if not state.f_edges:
@@ -138,15 +161,11 @@ class TestEnumerateMoves:
             # D is connected, so it holds a cycle iff |E(G[D])| >= |D|
             if sum(u in d and v in d for u, v in g.edges) >= len(d):
                 assert [m.kind for m in moves] == ["X4"]
-            after = [apply_move(state, m, g, memo) for m in moves]
-            for move, candidate in zip(moves, after):
-                if move.kind != "X7":
-                    assert candidate.objective < state.objective, move
             # walk on as improve does: the first strictly better state
-            better = [c for c in after if c.objective < state.objective]
-            if not better:
+            after = (apply_move(state, m, g, memo) for m in moves)
+            state = next((c for c in after if c.objective < state.objective), None)
+            if state is None:
                 break
-            state = better[0]
 
 
 class TestImprove:
@@ -184,32 +203,26 @@ class TestImprove:
             assert outcome.state.objective <= initial.objective
 
     def test_budget_flag(self, monkeypatch):
-        monkeypatch.setattr(heuristic, "MAX_EVALS", 0)
+        monkeypatch.setattr(heuristic, "MAX_STEPS", 0)
         g = join_sharpness(complete_graph(1), 3)
         outcome = improve(initial_subgraph(g), g, 4)
         assert outcome.budget_exhausted
+        assert outcome.steps == ()
 
-
-    def test_max_evals_counts_apply_move_calls(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return apply_move(*args)
-
-        monkeypatch.setattr(heuristic, "apply_move", counting)
-        g = gnp(9, 0.4, 4)  # two steps and some rejected moves
+    def test_step_budget_cuts_the_free_run(self, monkeypatch):
+        g = gnp(9, 0.4, 4)  # two steps, then no move improves
         initial = initial_subgraph(g)
         free = improve(initial, g, 4)
-        k = len(calls)
-        assert not free.budget_exhausted and k > len(free.steps) >= 2
-        for budget in range(k + 1):
-            calls.clear()
-            monkeypatch.setattr(heuristic, "MAX_EVALS", budget)
+        k = len(free.steps)
+        assert not free.budget_exhausted and k >= 2
+        for budget in range(k + 2):
+            monkeypatch.setattr(heuristic, "MAX_STEPS", budget)
             outcome = improve(initial, g, 4)
-            assert len(calls) <= budget
-            assert outcome.budget_exhausted == (budget < k)
+            assert outcome.steps == free.steps[:budget]
+            # a run that uses its whole budget is flagged, even the free run's
+            assert outcome.budget_exhausted == (budget <= k)
         assert outcome == free
+
 
 class TestPosaCover:
     def test_cycle_covered_by_one_piece(self):
