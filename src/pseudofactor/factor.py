@@ -154,10 +154,16 @@ def spanning_in_range(g: Graph, s, b: int):
     order = sorted(verts, key=lambda v: (induced_deg[v], v))
     pos = {v: i for i, v in enumerate(order)}
     fwd = [sorted(pos[w] for w in g.adj[order[i]] if w in pos and pos[w] > i) for i in range(k)]
-    # pot[i][t]: neighbors of order[t] at positions > i (still undecided once
-    # position i is fully processed)
-    nbr_pos = [sorted(pos[w] for w in g.adj[order[t]] if w in pos) for t in range(k)]
-    pot = [[sum(1 for p in nbr_pos[t] if p > i) for t in range(k)] for i in range(-1, k)]
+    # pot[r][t]: neighbors of order[t] at positions >= r (still undecided
+    # once positions below r are fully processed); pot[r] is pot[r + 1] plus
+    # one for each neighbor of order[r]
+    pot = [[0] * k for _ in range(k + 1)]
+    for r in range(k - 1, -1, -1):
+        row = pot[r]
+        row[:] = pot[r + 1]
+        for w in g.adj[order[r]]:
+            if w in pos:
+                row[pos[w]] += 1
 
     failed: set[tuple[int, tuple[int, ...]]] = set()
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .errors import CapacityError
 from .graph import Graph, min_degree, to_edge_list
@@ -60,7 +60,9 @@ class BoundReport:
     status: str  # ok | BOUND_VIOLATION | SOLVER_INCONSISTENT | capacity_skipped
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the fields by name, not ``__dict__``: attributes set on a report
+        # outside its fields never reach a row
+        return {name: getattr(self, name) for name in CSV_FIELDS}
 
 
 CSV_FIELDS = tuple(f.name for f in fields(BoundReport))

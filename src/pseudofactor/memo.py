@@ -22,15 +22,16 @@ class SolveMemo:
     alpha of each induced subgraph met (keyed by the mask of its vertex set,
     so alpha(G) is the entry of the full set and each alpha(G - F) the entry
     of ``V - F``), the cover of each leftover set (keyed by its mask) and the
-    exact oracle's matching-table scan (``scan``, filled by
-    ``min_small_components_exact``). A search that refuses stores nothing, so
-    every call that needs it is refused again."""
+    exact oracle's matching-table scan (``scan``: the ``nu`` table and the
+    candidate groups, filled by ``min_small_components_exact``, whose walk
+    sorts each group in place when it first reaches it). A search that
+    refuses stores nothing, so every call that needs it is refused again."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.alphas: dict[int, int] = {}
         self.covers: dict[int, tuple[CoverPiece, ...]] = {}
-        self.scan: tuple[list[int], list[int]] | None = None
+        self.scan: tuple[list[int], list[list[int]]] | None = None
 
     @classmethod
     def of(cls, g: Graph, memo: SolveMemo | None) -> SolveMemo:

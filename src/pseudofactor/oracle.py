@@ -33,10 +33,12 @@ class OracleResult:
     blocks: tuple[tuple[int, ...], ...]
 
 
-def _matching_scan(g: Graph) -> tuple[list[int], list[int]]:
+def _matching_scan(g: Graph) -> tuple[list[int], list[list[int]]]:
     """The part of the oracle that does not depend on b: the table ``nu`` of
     maximum-matching sizes of every vertex subset, and the candidate large
-    parts in the order they are tried."""
+    parts S grouped by their small-component count |R| - nu[R], R = V - S
+    (``groups[a]`` holds the candidates leaving a small components, unsorted
+    until the walk reaches them)."""
     full = g.full_mask
     adjb = g.adj_bits
     # Masks are filled by lowest vertex v, highest v first, as mask = v + rest
@@ -76,12 +78,23 @@ def _matching_scan(g: Graph) -> tuple[list[int], list[int]]:
             zero[mask] = z
             one[mask] = o
 
-    def key(large: int) -> tuple[int, int, int]:
+    # grouped only now: nu of a candidate's complement may be filled after it
+    groups: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for large in candidates:
         rest = full ^ large
-        return (rest.bit_count() - nu[rest], rest.bit_count() - 2 * nu[rest], large)
+        groups[rest.bit_count() - nu[rest]].append(large)
+    return nu, groups
 
-    candidates.sort(key=key)
-    return nu, candidates
+
+def _walk(nu: list[int], groups: list[list[int]], full: int):
+    """The candidates in order of (small components, vertex components,
+    bitmask of S). Group a holds the sets with |R| - nu[R] = a, where the
+    vertex components |R| - 2 nu[R] = a - nu[R], so each group is sorted by
+    (-nu[R], S) when the walk first reaches it. Sorting in place is
+    idempotent, so every b row sharing the scan walks the same order."""
+    for group in groups:
+        group.sort(key=lambda large: (-nu[full ^ large], large))
+        yield from group
 
 
 def min_small_components_exact(g: Graph, b: int, memo: SolveMemo | None = None) -> OracleResult:
@@ -89,13 +102,14 @@ def min_small_components_exact(g: Graph, b: int, memo: SolveMemo | None = None) 
     with a witness factor attaining it; ``blocks`` are the witness's
     component vertex tuples.
 
-    Candidate large parts S are tried in order of (small components, vertex
-    components, bitmask of S); the first feasible one wins. The matching of
-    V - S is rebuilt lowest vertex first, leaving a vertex single whenever
-    that keeps the matching maximum, else pairing it with its lowest
-    neighbor that does.
+    Candidate large parts S are walked group by group in order of small
+    components, each group sorted only when the walk reaches it, so they are
+    tried in order of (small components, vertex components, bitmask of S);
+    the first feasible one wins. The matching of V - S is rebuilt lowest
+    vertex first, leaving a vertex single whenever that keeps the matching
+    maximum, else pairing it with its lowest neighbor that does.
 
-    The table and the ordered candidates do not depend on b; they are built
+    The table and the candidate groups do not depend on b; they are built
     once per ``memo``, which, when given, must be a ``SolveMemo`` of this very
     graph, so calls for several b may share it. A capacity refusal stores
     nothing.
@@ -107,9 +121,9 @@ def min_small_components_exact(g: Graph, b: int, memo: SolveMemo | None = None) 
         raise CapacityError(f"exact oracle limited to {ORACLE_LIMIT} vertices, got {g.n}")
     if memo.scan is None:
         memo.scan = _matching_scan(g)
-    nu, candidates = memo.scan
+    nu, groups = memo.scan
 
-    for large in candidates:
+    for large in _walk(nu, groups, g.full_mask):
         chosen = spanning_in_range(g, bits(large), b) if large else ()
         if chosen is not None:
             break

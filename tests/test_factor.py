@@ -205,13 +205,17 @@ class TestSpanning:
         g, s = complete_graph(SPANNING_LIMIT), range(SPANNING_LIMIT)
         assert is_2b_subgraph(g, s, spanning_in_range(g, s, 3), 3)
 
-    @given(small_graphs(min_n=3, max_n=6))
+    @given(small_graphs(min_n=3, max_n=8))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, g):
-        for b in (2, 4):
-            if len(g.edges) <= 18:
-                feasible = spanning_in_range(g, range(g.n), b) is not None
-                assert feasible == brute_force_feasible(g, range(g.n), b)
+        # a maximum degree above b takes the search (and its pot table), not
+        # the early return that keeps every edge
+        for b in (2, 3):
+            if len(g.edges) <= 18 and max(len(g.adj[v]) for v in range(g.n)) > b:
+                chosen = spanning_in_range(g, range(g.n), b)
+                assert (chosen is not None) == brute_force_feasible(g, range(g.n), b)
+                if chosen is not None:
+                    assert is_2b_subgraph(g, range(g.n), chosen, b)
 
     @given(small_graphs(min_n=3, max_n=7))
     @settings(max_examples=40, deadline=None)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -407,6 +408,13 @@ class TestReports:
         assert lines[0].startswith("# schema=1")
         assert lines[1] == ",".join(harness.CSV_FIELDS)
         assert lines[2].startswith("c5,5,4,2,2,0,0,0,")
+
+    def test_to_dict_reads_only_the_fields(self):
+        report = BoundReport("x", 5, 4, 2, 2, 0, 0, 0, True, False, False, "ok")
+        # an attribute set outside the fields, as a row timer would be
+        object.__setattr__(report, "_row_timer", (0.0, 1.0))
+        assert report.to_dict() == asdict(report)
+        assert tuple(report.to_dict()) == harness.CSV_FIELDS
 
     def test_summary_counts(self):
         reports = [

@@ -225,6 +225,83 @@ class TestCandidateOrder:
         assert total > 0
 
 
+def _walk_reference(g: Graph) -> list[int]:
+    """S empty and every set in which each vertex has two neighbors inside,
+    sorted by (|R| - nu, |R| - 2 nu, bitmask of S), R = V - S, with nu from
+    a memoized recursion on the lowest vertex of R."""
+    nu = {0: 0}
+
+    def matching(rest: int) -> int:
+        if rest not in nu:
+            v = (rest & -rest).bit_length() - 1
+            left = rest ^ (1 << v)
+            nu[rest] = max([matching(left)] + [1 + matching(left ^ (1 << w)) for w in bits(g.adj_bits[v] & left)])
+        return nu[rest]
+
+    kept = [s for s in range(g.full_mask + 1) if all((g.adj_bits[v] & s).bit_count() >= 2 for v in bits(s))]
+
+    def key(large: int) -> tuple[int, int, int]:
+        rest = g.full_mask ^ large
+        return (rest.bit_count() - matching(rest), rest.bit_count() - 2 * matching(rest), large)
+
+    return sorted(kept, key=key)
+
+
+class TestWalkOrder:
+    """The grouped walk visits the kept candidates in exactly the order a
+    full sort would give, whichever b reaches a shared scan's groups first."""
+
+    @staticmethod
+    def _check(monkeypatch, g: Graph, b_values) -> None:
+        expected = _walk_reference(g)
+        calls: list[int] = []
+        real = oracle.spanning_in_range
+
+        def recorder(g, s, b):
+            verts = list(s)  # the walk may pass a one-shot iterator
+            calls.append(sum(1 << v for v in verts))
+            return real(g, verts, b)
+
+        def refuse_all(g, s, b):
+            calls.append(sum(1 << v for v in s))
+            return None
+
+        memo = SolveMemo(g)
+        for b in b_values:
+            # a real walk is a prefix of the order, ending at the witness
+            calls.clear()
+            monkeypatch.setattr(oracle, "spanning_in_range", recorder)
+            min_small_components_exact(g, b, memo=memo)
+            assert calls == expected[: len(calls)], (g.edges, b)
+            # with every search refused, the walk runs on until S empty
+            calls.clear()
+            monkeypatch.setattr(oracle, "spanning_in_range", refuse_all)
+            min_small_components_exact(g, b, memo=memo)
+            assert calls == expected[: expected.index(0)], (g.edges, b)
+        # no small components means R is empty, so group 0 holds at most V
+        assert memo.scan[1][0] in ([], [g.full_mask])
+
+    @given(small_graphs(max_n=10), st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, g, b_values):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._check(monkeypatch, g, b_values)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pendant_sharpness(cycle_graph(3)),
+            pendant_sharpness(cycle_graph(5)),
+            join_sharpness(complete_graph(1), 3),
+            join_sharpness(complete_graph(2), 4),
+            join_sharpness(cycle_graph(3), 3),
+        ],
+        ids=["pendant-c3", "pendant-c5", "join-k1-3", "join-k2-4", "join-c3-3"],
+    )
+    def test_tight_families(self, monkeypatch, g):
+        self._check(monkeypatch, g, (4, 2, 6))
+
+
 class TestNaive:
     def test_partition_enumeration_counts(self):
         # Bell numbers pin the enumerator itself
