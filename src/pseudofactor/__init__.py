@@ -17,7 +17,6 @@ from .factor import (
     ComponentClass,
     FactorComponent,
     PseudoFactor,
-    factor_to_json_dict,
     factor_to_text,
     is_2b_subgraph,
     spanning_in_range,

@@ -114,7 +114,7 @@ def _cmd_solve(args) -> int:
         raise ParseError("cannot solve an empty graph")
     delta = min_degree(g)
     memo = SolveMemo(g)
-    alpha = memo.alpha(range(g.n))
+    alpha = memo.alpha(g.full_mask)
     print(f"delta={delta} alpha={alpha} b={args.b}")
     if delta >= 1:
         print(f"theorem_bound={theorem_bound(alpha, delta, args.b)}")

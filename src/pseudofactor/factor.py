@@ -56,7 +56,7 @@ class PseudoFactor:
         chosen: set[Edge] = set()
         for u, v in edges:
             e = norm_edge(u, v)
-            if not 0 <= e[0] < g.n or e[1] not in g.adj[e[0]]:
+            if not 0 <= e[0] < g.n or not g.adj_bits[e[0]] >> e[1] & 1:
                 raise FactorError(f"chosen edge {e} is not an edge of the graph")
             chosen.add(e)
         chosen_edges = tuple(sorted(chosen))
@@ -114,7 +114,7 @@ def is_2b_subgraph(g: Graph, vertices, edges, b: int) -> bool:
     vs = frozenset(vertices)
     deg = dict.fromkeys(vs, 0)
     for u, v in set(norm_edge(*e) for e in edges):
-        if u not in vs or v not in vs or not 0 <= u < g.n or v not in g.adj[u]:
+        if u not in vs or v not in vs or not 0 <= u < g.n or not g.adj_bits[u] >> v & 1:
             return False
         deg[u] += 1
         deg[v] += 1
@@ -153,7 +153,8 @@ def spanning_in_range(g: Graph, s, b: int):
 
     order = sorted(verts, key=lambda v: (induced_deg[v], v))
     pos = {v: i for i, v in enumerate(order)}
-    fwd = [sorted(pos[w] for w in g.adj[order[i]] if w in pos and pos[w] > i) for i in range(k)]
+    fwd = [sorted(pos[w] for w in bits(g.adj_bits[v] & mask) if pos[w] > i)
+           for i, v in enumerate(order)]
     # pot[r][t]: neighbors of order[t] at positions >= r (still undecided
     # once positions below r are fully processed); pot[r] is pot[r + 1] plus
     # one for each neighbor of order[r]
@@ -161,9 +162,8 @@ def spanning_in_range(g: Graph, s, b: int):
     for r in range(k - 1, -1, -1):
         row = pot[r]
         row[:] = pot[r + 1]
-        for w in g.adj[order[r]]:
-            if w in pos:
-                row[pos[w]] += 1
+        for w in bits(g.adj_bits[order[r]] & mask):
+            row[pos[w]] += 1
 
     failed: set[tuple[int, tuple[int, ...]]] = set()
 
@@ -218,18 +218,3 @@ def factor_to_text(pf: PseudoFactor) -> str:
         lines.append(f"component {k}: class={comp.kind.value} vertices={vs} edges={es}")
     return "\n".join(lines)
 
-
-def factor_to_json_dict(pf: PseudoFactor) -> dict:
-    return {
-        "b": pf.b,
-        "small_count": pf.small_count,
-        "large_count": pf.large_count,
-        "components": [
-            {
-                "class": comp.kind.value,
-                "vertices": list(comp.vertices),
-                "edges": [list(e) for e in comp.edges],
-            }
-            for comp in pf.components
-        ],
-    }

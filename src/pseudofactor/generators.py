@@ -55,7 +55,7 @@ def pendant_sharpness(h: Graph, b: int | None = None) -> Graph:
     if h.n == 0:
         raise ValueError("base graph must be nonempty")
     for v in range(h.n):
-        d = len(h.adj[v])
+        d = h.adj_bits[v].bit_count()
         if d < 2:
             raise ValueError(f"vertex {v} has degree {d} < 2")
         if b is not None and d > b:

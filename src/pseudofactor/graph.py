@@ -60,13 +60,12 @@ def bits(mask: int):
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
 
-    ``adj`` and ``adj_bits`` are the same adjacency as frozensets and as
-    bitmasks; both are derived from ``edges`` at construction time.
+    ``adj_bits[v]`` is the bitmask of v's neighbors, derived from ``edges``
+    at construction time; it is the graph's only adjacency.
     """
 
     n: int
     edges: tuple[Edge, ...]
-    adj: tuple[frozenset[int], ...]
     adj_bits: tuple[int, ...]
 
     @classmethod
@@ -81,15 +80,11 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
             normed.add(norm_edge(u, v))
         edge_tuple = tuple(sorted(normed))
-        neigh: list[set[int]] = [set() for _ in range(n)]
         adj_bits = [0] * n
         for u, v in edge_tuple:
-            neigh[u].add(v)
-            neigh[v].add(u)
             adj_bits[u] |= 1 << v
             adj_bits[v] |= 1 << u
-        adj = tuple(frozenset(s) for s in neigh)
-        return cls(n=n, edges=edge_tuple, adj=adj, adj_bits=tuple(adj_bits))
+        return cls(n=n, edges=edge_tuple, adj_bits=tuple(adj_bits))
 
     @property
     def full_mask(self) -> int:
@@ -103,14 +98,20 @@ class Graph:
 # parsing / serialization
 
 
+def _header_count(token: str, lineno: int, what: str) -> int:
+    """Non-negative integer from a header token; ``what`` names it."""
+    try:
+        k = int(token)
+    except ValueError:
+        raise GraphParseError(f"line {lineno}: {what} {token!r} is not an integer") from None
+    if k < 0:
+        raise GraphParseError(f"line {lineno}: {what} must be non-negative")
+    return k
+
+
 def _declared_count(token: str, lineno: int) -> int:
     """Vertex count from a header token, in 0..DECLARED_VERTEX_LIMIT."""
-    try:
-        n = int(token)
-    except ValueError:
-        raise GraphParseError(f"line {lineno}: vertex count {token!r} is not an integer") from None
-    if n < 0:
-        raise GraphParseError(f"line {lineno}: vertex count must be non-negative")
+    n = _header_count(token, lineno, "vertex count")
     if n > DECLARED_VERTEX_LIMIT:
         raise GraphParseError(
             f"line {lineno}: vertex count {n} exceeds the limit of {DECLARED_VERTEX_LIMIT}"
@@ -159,7 +160,9 @@ def load_edge_list(text: str) -> Graph:
 
 def load_dimacs(text: str) -> Graph:
     """Parse DIMACS: ``c`` comments, one ``p edge <n> <m>`` line, ``e u v``
-    lines with 1-based vertices (converted to 0-based)."""
+    lines with 1-based vertices (converted to 0-based). ``m`` must be a
+    non-negative integer but need not match the edge lines, since duplicate
+    edges collapse."""
     n: int | None = None
     edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -173,6 +176,7 @@ def load_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphParseError(f"line {lineno}: expected 'p edge <n> <m>'")
             n = _declared_count(parts[2], lineno)
+            _header_count(parts[3], lineno, "edge count")
         elif parts[0] == "e":
             if n is None:
                 raise GraphParseError(f"line {lineno}: edge before the problem line")
@@ -227,7 +231,7 @@ def to_edge_list(g: Graph, comments: tuple[str, ...] = ()) -> str:
 def min_degree(g: Graph) -> int:
     if g.n == 0:
         raise ValueError("minimum degree of the empty graph is undefined")
-    return min(len(g.adj[v]) for v in range(g.n))
+    return min(a.bit_count() for a in g.adj_bits)
 
 
 def _greedy_independent(adj_bits, mask: int) -> int:
@@ -411,23 +415,22 @@ def endpoint_cycle(g: Graph, path, within=None):
     which any longest path satisfies; a path that is not raises
     NonMaximalPathError. Returns (vertices, edges); the cycle always
     contains u and all of u's neighbors. Returns None when u has fewer than
-    two neighbors.
+    two neighbors. Vertices of ``within`` outside 0..n-1 raise ValueError.
     """
+    mask = within_mask(g, within)
     path = tuple(path)
     u = path[0]
-    nbrs = g.adj[u] if within is None else g.adj[u] & frozenset(within)
-    if len(nbrs) < 2:
+    nbrs = g.adj_bits[u] & mask
+    if nbrs.bit_count() < 2:
         return None
     pos = {v: i for i, v in enumerate(path)}
-    if not all(w in pos for w in nbrs):
+    if not all(w in pos for w in bits(nbrs)):
         raise NonMaximalPathError("path is not maximal at its endpoint")
-    far = max(pos[w] for w in nbrs)
+    far = max(pos[w] for w in bits(nbrs))
     cyc = path[: far + 1]
     edges = tuple(norm_edge(cyc[i], cyc[i + 1]) for i in range(len(cyc) - 1))
     edges += (norm_edge(u, cyc[-1]),)
-    vertices = frozenset(cyc)
-    assert nbrs <= vertices and u in vertices
-    return vertices, edges
+    return frozenset(cyc), edges
 
 
 def connected_components(g: Graph, within=None) -> list[frozenset[int]]:

@@ -111,7 +111,7 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
     heur: int | None = None
     # a refusal at any stage skips every later stage
     try:
-        alpha = memo.alpha(range(g.n))
+        alpha = memo.alpha(g.full_mask)
         if delta >= 1:
             bound = theorem_bound(alpha, delta, b)
             kl = 2 * alpha <= b * (delta - 1)

@@ -18,7 +18,8 @@ from .factor import PseudoFactor, is_2b_subgraph
 from .graph import (
     Edge,
     Graph,
-    connected_components,
+    bits,
+    component_masks,
     endpoint_cycle,
     longest_path,
     norm_edge,
@@ -84,17 +85,18 @@ class HeuristicResult:
 
 
 def _make_state(g: Graph, f_edges, memo: SolveMemo) -> SearchState:
-    f_edges = frozenset(norm_edge(*e) for e in f_edges)
-    f_vertices = frozenset(v for e in f_edges for v in e)
-    rest = frozenset(range(g.n)) - f_vertices
-    comps = connected_components(g, rest)
-    if comps:
-        d = min(comps, key=lambda c: (len(c), min(c)))
-    else:
-        d = frozenset()
-    attachments = tuple(sorted(v for v in f_vertices if g.adj[v] & d))
-    objective = (memo.alpha(rest), len(d), len(f_vertices))
-    return SearchState(f_edges, f_vertices, d, attachments, objective)
+    """State of the normalized edge set ``f_edges``. D is the first smallest
+    component of G - F; components come by smallest member, so ties go to
+    the lowest one."""
+    f_edges = frozenset(f_edges)
+    f_mask = 0
+    for u, v in f_edges:
+        f_mask |= 1 << u | 1 << v
+    rest = g.full_mask ^ f_mask
+    d = min(component_masks(g.adj_bits, rest), key=int.bit_count, default=0)
+    attachments = tuple(v for v in bits(f_mask) if g.adj_bits[v] & d)
+    objective = (memo.alpha(rest), d.bit_count(), f_mask.bit_count())
+    return SearchState(f_edges, frozenset(bits(f_mask)), frozenset(bits(d)), attachments, objective)
 
 
 def _either_end_cycle(g: Graph, path, within=None):
@@ -119,18 +121,17 @@ def initial_subgraph(g: Graph, memo: SolveMemo | None = None) -> SearchState:
 # move generation helpers
 
 
-def _path_through(g: Graph, allowed: frozenset[int], src: int, dst: int,
-                  allow_direct: bool = False) -> list[int] | None:
-    """Shortest src-dst path whose internal vertices all lie in ``allowed``."""
-    if allow_direct and dst in g.adj[src]:
-        return [src, dst]
+def _path_through(g: Graph, allowed: int, src: int, dst: int) -> list[int] | None:
+    """Shortest src-dst path with at least one internal vertex, all of them
+    in the vertex mask ``allowed``."""
+    adj = g.adj_bits
     parent: dict[int, int | None] = {}
     frontier: list[int] = []
-    for v in sorted(g.adj[src] & allowed):
+    for v in bits(adj[src] & allowed):
         parent[v] = None
         frontier.append(v)
     while frontier:
-        hits = [v for v in frontier if dst in g.adj[v]]
+        hits = [v for v in frontier if adj[v] >> dst & 1]
         if hits:
             v = min(hits)
             inner = [v]
@@ -140,7 +141,7 @@ def _path_through(g: Graph, allowed: frozenset[int], src: int, dst: int,
             return [src] + inner + [dst]
         nxt: list[int] = []
         for v in frontier:
-            for w in sorted(g.adj[v] & allowed):
+            for w in bits(adj[v] & allowed):
                 if w not in parent:
                     parent[w] = v
                     nxt.append(w)
@@ -152,12 +153,14 @@ def _path_edges(path: list[int]) -> tuple[Edge, ...]:
     return tuple(norm_edge(path[i], path[i + 1]) for i in range(len(path) - 1))
 
 
-def _cycle_within(g: Graph, d: frozenset[int]):
-    """The edges of a cycle inside G[d]: the longest-path endpoint cycle when
-    available, otherwise any cycle found by DFS. None when G[d] is a forest."""
-    if len(d) < 3:
+def _cycle_within(g: Graph, d: int):
+    """The edges of a cycle inside G[d], d a vertex mask: the longest-path
+    endpoint cycle when available, otherwise any cycle found by DFS. None
+    when G[d] is a forest."""
+    if d.bit_count() < 3:
         return None
-    cyc = _either_end_cycle(g, longest_path(g, within=d), within=d)
+    within = tuple(bits(d))
+    cyc = _either_end_cycle(g, longest_path(g, within=within), within=within)
     if cyc is not None:
         return cyc[1]
 
@@ -169,7 +172,7 @@ def _cycle_within(g: Graph, d: frozenset[int]):
     def dfs(v: int, parent_v: int) -> list[int] | None:
         on_path[v] = len(stack_path)
         stack_path.append(v)
-        for w in sorted(g.adj[v] & d):
+        for w in bits(g.adj_bits[v] & d):
             if w == parent_v or w in done:
                 continue
             if w in on_path:
@@ -182,7 +185,7 @@ def _cycle_within(g: Graph, d: frozenset[int]):
         done.add(v)
         return None
 
-    for root in sorted(d):
+    for root in bits(d):
         if root in done:
             continue
         cycle = dfs(root, -1)
@@ -191,55 +194,55 @@ def _cycle_within(g: Graph, d: frozenset[int]):
     return None
 
 
-def _deletable_segments(state: SearchState, f: Graph):
+def _deletable_segments(state: SearchState, fadj):
     """Maximal runs of degree-2 F-vertices whose deletion keeps all remaining
-    F-degrees >= 2; whole cyclic F-components qualify unconditionally."""
-    deg2 = [v for v in state.f_vertices if len(f.adj[v]) == 2]
-    for comp in connected_components(f, deg2):
-        inner = {e for e in state.f_edges if e[0] in comp and e[1] in comp}
-        boundary = {e for e in state.f_edges if (e[0] in comp) != (e[1] in comp)}
-        removal = tuple(sorted(inner | boundary))
-        if not boundary:
-            yield removal  # an entire cycle component
+    F-degrees >= 2; whole cyclic F-components qualify unconditionally.
+    ``fadj`` is F's adjacency as bitmasks.
+
+    A run is a whole cycle or a path with one F-edge leaving each end. Those
+    two edges end at F-vertices of degree >= 3, which stay >= 2 unless both
+    end at one vertex of degree 3."""
+    deg2 = sum(1 << v for v in state.f_vertices if fadj[v].bit_count() == 2)
+    for comp in component_masks(fadj, deg2):
+        outside = 0
+        for v in bits(comp):
+            outside |= fadj[v]
+        outside &= ~comp
+        if outside.bit_count() == 1 and fadj[outside.bit_length() - 1].bit_count() < 4:
             continue
-        outside = [e[0] if e[1] in comp else e[1] for e in boundary]
-        if len(outside) != 2:
-            continue
-        a, z = outside
-        if a == z and len(f.adj[a]) - 2 < 2:
-            continue
-        yield removal
+        yield tuple(sorted(e for e in state.f_edges if (comp >> e[0] | comp >> e[1]) & 1))
 
 
 def _candidates(state: SearchState, g: Graph, b: int):
     """Unvalidated ``(kind, add, remove)`` rewrites of F, in ``MOVE_ORDER``.
     Nothing when G - F has no component."""
-    d = state.d_vertices
+    d = within_mask(g, state.d_vertices)
     if not d:
         return
+    adj = g.adj_bits
 
     # X4: absorb a cycle of D into F
     cyc = _cycle_within(g, d)
     if cyc is not None:
         yield "X4", cyc, ()
 
-    f = Graph.build(g.n, state.f_edges)
-    fadj = f.adj
+    fadj = Graph.build(g.n, state.f_edges).adj_bits
+    fdeg = [a.bit_count() for a in fadj]
 
-    # X6: loop two leaves of D through a shared F-neighbor
-    if len(d) >= 2:
-        d_leaves = sorted(v for v in d if len(g.adj[v] & d) == 1)
-        for x0, y0 in itertools.combinations(d_leaves, 2):
-            commons = sorted(g.adj[x0] & g.adj[y0] & state.f_vertices)
-            if not commons:
-                continue
-            p = _path_through(g, d - {x0, y0}, x0, y0, allow_direct=True)
-            if p is None:
-                continue
-            p_edges = _path_edges(p)
-            for u in commons:
-                if len(fadj[u]) <= b - 2:
-                    yield "X6", (norm_edge(u, x0),) + p_edges + (norm_edge(u, y0),), ()
+    # X6: loop two leaves of D through a shared F-neighbor (D is a component
+    # of G - F, so a neighbor of D outside D lies in F)
+    d_leaves = [v for v in bits(d) if (adj[v] & d).bit_count() == 1]
+    for x0, y0 in itertools.combinations(d_leaves, 2):
+        commons = adj[x0] & adj[y0] & ~d
+        if not commons:
+            continue
+        p = [x0, y0] if adj[x0] >> y0 & 1 else _path_through(g, d ^ (1 << x0 | 1 << y0), x0, y0)
+        if p is None:
+            continue
+        p_edges = _path_edges(p)
+        for u in bits(commons):
+            if fdeg[u] <= b - 2:
+                yield "X6", (norm_edge(u, x0),) + p_edges + (norm_edge(u, y0),), ()
 
     # the connector of each attachment pair (a shortest path with internal
     # vertices in D), walked once per kind: X2, then X1, then X3
@@ -251,7 +254,7 @@ def _candidates(state: SearchState, g: Graph, b: int):
 
     # X2: bridge two attachments of degree <= b-1
     for ui, uj, conn in pairs:
-        if len(fadj[ui]) <= b - 1 and len(fadj[uj]) <= b - 1:
+        if fdeg[ui] <= b - 1 and fdeg[uj] <= b - 1:
             yield "X2", conn, ()
 
     # X1: reroute an F-edge between the two attachments through D
@@ -262,21 +265,21 @@ def _candidates(state: SearchState, g: Graph, b: int):
 
     # X3: detach one F-edge at each attachment, reconnect through D
     for ui, uj, conn in pairs:
-        for x in sorted(fadj[ui]):
+        for x in bits(fadj[ui]):
             if x == uj:
                 continue
-            for y in sorted(fadj[uj]):
+            for y in bits(fadj[uj]):
                 if y == ui:
                     continue
                 if x == y:
-                    if len(fadj[x]) < 4:
+                    if fdeg[x] < 4:
                         continue
-                elif len(fadj[x]) < 3 or len(fadj[y]) < 3:
+                elif fdeg[x] < 3 or fdeg[y] < 3:
                     continue
                 yield "X3", conn, (norm_edge(ui, x), norm_edge(uj, y))
 
     # X7: delete a maximal degree-2 segment of F
-    for removal in _deletable_segments(state, f):
+    for removal in _deletable_segments(state, fadj):
         yield "X7", (), removal
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .graph import Graph, independence_number, longest_path, within_mask
+from .graph import Graph, bits, independence_number, longest_path
 
 if TYPE_CHECKING:
     from .heuristic import CoverPiece
@@ -47,11 +47,10 @@ class SolveMemo:
         """``longest_path(g)``, the solver's seed path."""
         return longest_path(self.g)
 
-    def alpha(self, within) -> int:
-        """alpha(G[within]), searched once per vertex set."""
-        mask = within_mask(self.g, within)
+    def alpha(self, mask: int) -> int:
+        """alpha(G[mask]) of a vertex mask, searched once per mask."""
         val = self.alphas.get(mask)
         if val is None:
-            val = independence_number(self.g, within=within)
+            val = independence_number(self.g, within=bits(mask))
             self.alphas[mask] = val
         return val

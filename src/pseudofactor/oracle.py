@@ -218,7 +218,7 @@ def min_small_components_naive(g: Graph, b: int) -> int:
             c: int | None = 1
         elif len(block) == 2:
             u, v = sorted(block)
-            c = 1 if v in g.adj[u] else None
+            c = 1 if g.adj_bits[u] >> v & 1 else None
         else:
             c = 0 if _feasible_by_edge_subsets(g, block, b) else None
         block_cost[block] = c

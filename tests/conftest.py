@@ -37,6 +37,16 @@ def petersen() -> Graph:
     return Graph.build(10, edges)
 
 
+def neighbors(g: Graph) -> list[frozenset[int]]:
+    """Each vertex's neighbor set, read from ``g.edges`` alone, so set-based
+    references share nothing with the adjacency ``Graph.build`` derives."""
+    neigh: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        neigh[u].add(v)
+        neigh[v].add(u)
+    return [frozenset(s) for s in neigh]
+
+
 def brute_force_alpha(g: Graph, within=None) -> int:
     """Maximum independent set size (inside ``within`` if given) by scanning
     all 2^n subsets."""
@@ -66,7 +76,7 @@ def build_random_corpus() -> list[tuple[str, Graph]]:
             found = 0
             for seed in range(SEED_CAP):
                 g = gnp(n, p, seed)
-                if min(len(g.adj[v]) for v in range(n)) >= 1:
+                if all(neighbors(g)):
                     items.append((f"gnp n={n} p={p} seed={seed}", g))
                     found += 1
                     if found == PER_CELL:

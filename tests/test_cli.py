@@ -94,6 +94,14 @@ def test_solve_capacity(tmp_path, capsys):
     assert main(["solve", str(path), "-b", "4", "--mode", "oracle"]) == 3
 
 
+def test_solve_bad_dimacs_edge_count(tmp_path, capsys):
+    for m in ("banana", "-7"):
+        path = tmp_path / "bad.dimacs"
+        path.write_text(f"p edge 3 {m}\ne 1 2\n")
+        assert main(["solve", str(path), "-b", "4"]) == 2
+        assert "line 1: edge count" in capsys.readouterr().err
+
+
 def test_solve_declared_vertex_count(tmp_path, capsys):
     # a one-line header must not allocate a billion vertices
     for name, text in (("huge.edges", "n 1000000000\n"), ("huge.dimacs", "p edge 1000000000 0\n")):

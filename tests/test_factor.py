@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_graphs
+from conftest import neighbors, small_graphs
 from pseudofactor.errors import CapacityError, FactorError
 from pseudofactor.factor import (
     SPANNING_LIMIT,
     ComponentClass,
     PseudoFactor,
-    factor_to_json_dict,
     factor_to_text,
     is_2b_subgraph,
     spanning_in_range,
@@ -211,7 +210,7 @@ class TestSpanning:
         # a maximum degree above b takes the search (and its pot table), not
         # the early return that keeps every edge
         for b in (2, 3):
-            if len(g.edges) <= 18 and max(len(g.adj[v]) for v in range(g.n)) > b:
+            if len(g.edges) <= 18 and max(map(len, neighbors(g))) > b:
                 chosen = spanning_in_range(g, range(g.n), b)
                 assert (chosen is not None) == brute_force_feasible(g, range(g.n), b)
                 if chosen is not None:
@@ -227,7 +226,7 @@ class TestSpanning:
     def test_all_degrees_in_window_is_feasible(self):
         for seed in range(8):
             g = gnp(7, 0.5, seed)
-            degs = [len(g.adj[v]) for v in range(g.n)]
+            degs = [len(s) for s in neighbors(g)]
             if min(degs) >= 2:
                 assert spanning_in_range(g, range(g.n), max(degs)) is not None
 
@@ -241,15 +240,3 @@ class TestSerialization:
             "component 1: class=edge vertices=3,4 edges=3-4\n"
             "component 2: class=vertex vertices=5 edges="
         )
-
-    def test_json_dict(self):
-        g = path_graph(3)
-        pf = PseudoFactor.build(g, [(0, 1)], 4)
-        payload = factor_to_json_dict(pf)
-        assert payload["small_count"] == 2
-        assert payload["large_count"] == 0
-        assert payload["components"][0] == {
-            "class": "edge",
-            "vertices": [0, 1],
-            "edges": [[0, 1]],
-        }

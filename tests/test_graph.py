@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_alpha, petersen, small_graphs
+from conftest import brute_force_alpha, neighbors, petersen, small_graphs
 from pseudofactor.errors import CapacityError, GraphParseError, NonMaximalPathError
 from pseudofactor.factor import spanning_in_range
 from pseudofactor.generators import complete_graph, cycle_graph, gnp, path_graph
@@ -25,6 +25,7 @@ from pseudofactor.graph import (
     longest_path,
     maximum_independent_set,
     min_degree,
+    norm_edge,
     to_edge_list,
 )
 from pseudofactor.heuristic import posa_cover
@@ -55,7 +56,7 @@ class TestParsing:
         g = load_edge_list("n 5\n0 1\n1 2\n2 3\n3 4\n4 0")
         assert g.n == 5
         assert len(g.edges) == 5
-        assert all(len(g.adj[v]) == 2 for v in range(5))
+        assert all(a.bit_count() == 2 for a in g.adj_bits)
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphParseError, match="self-loop"):
@@ -98,6 +99,15 @@ class TestParsing:
         with pytest.raises(GraphParseError, match="range"):
             load_dimacs("p edge 2 1\ne 1 3")
 
+    @pytest.mark.parametrize("m", ["banana", "-7"])
+    def test_dimacs_edge_count_is_checked(self, m):
+        with pytest.raises(GraphParseError, match=r"^line 2: edge count"):
+            load_dimacs(f"c comment\np edge 3 {m}\ne 1 2")
+
+    def test_dimacs_edge_count_need_not_match(self):
+        # duplicate edges collapse, so m may exceed the distinct edges
+        assert load_dimacs("p edge 3 5\ne 1 2\ne 2 1").edges == ((0, 1),)
+
     def test_declared_vertex_count_limit(self):
         # rejected at the header, before any per-vertex allocation
         over = DECLARED_VERTEX_LIMIT + 1
@@ -135,6 +145,15 @@ class TestParsing:
                 load(text)
             except GraphParseError:
                 pass
+
+    @given(small_graphs(max_n=12))
+    @settings(max_examples=100, deadline=None)
+    def test_adj_bits_match_edges(self, g):
+        edges = set(g.edges)
+        assert len(g.adj_bits) == g.n
+        for v, a in enumerate(g.adj_bits):
+            assert not a >> v & 1
+            assert a == sum(1 << w for w in range(g.n) if norm_edge(v, w) in edges)
 
     def test_build_rejects_bad_edges(self):
         with pytest.raises(ValueError):
@@ -178,8 +197,9 @@ class TestIndependence:
         g = petersen()
         witness = maximum_independent_set(g)
         assert len(witness) == 4
+        nbrs = neighbors(g)
         for u in witness:
-            assert not (g.adj[u] & witness)
+            assert not (nbrs[u] & witness)
 
     def test_within(self):
         g = cycle_graph(5)
@@ -229,15 +249,17 @@ def _all_labelled_graphs(max_n):
 
 
 def _is_independent(g, vertices):
-    return not any(g.adj[v] & vertices for v in vertices)
+    nbrs = neighbors(g)
+    return not any(nbrs[v] & vertices for v in vertices)
 
 
 def _reference_greedy(g, within):
+    nbrs = neighbors(g)
     chosen, remaining = set(), set(within)
     while remaining:
-        v = min(sorted(remaining), key=lambda x: len(g.adj[x] & remaining))
+        v = min(sorted(remaining), key=lambda x: len(nbrs[x] & remaining))
         chosen.add(v)
-        remaining -= g.adj[v] | {v}
+        remaining -= nbrs[v] | {v}
     return frozenset(chosen)
 
 
@@ -253,13 +275,14 @@ def _reference_witness(g, within, alpha):
     chosen = _reference_greedy(g, within)
     if len(chosen) == alpha:
         return chosen
+    nbrs = neighbors(g)
 
     def leaves(cand, taken):
         if not cand:
             yield taken
             return
-        v = max(sorted(cand), key=lambda x: (len(g.adj[x] & cand), -x))
-        yield from leaves(cand - g.adj[v] - {v}, taken | {v})
+        v = max(sorted(cand), key=lambda x: (len(nbrs[x] & cand), -x))
+        yield from leaves(cand - nbrs[v] - {v}, taken | {v})
         yield from leaves(cand - {v}, taken)
 
     return next(s for s in leaves(frozenset(within), frozenset()) if len(s) == alpha)
@@ -277,17 +300,19 @@ def _assert_pinned_witness(g, within):
 
 def _assert_valid_path(g, path):
     assert len(set(path)) == len(path)
+    nbrs = neighbors(g)
     for u, v in zip(path, path[1:]):
-        assert v in g.adj[u]
+        assert v in nbrs[u]
 
 
 def _brute_force_longest_path(g, within):
     """Lexicographically smallest longest path, by scanning vertex orders:
     ``permutations`` of a sorted pool yields tuples in lexicographic order."""
+    nbrs = neighbors(g)
     pool = sorted(within)
     for length in range(len(pool), 0, -1):
         for order in itertools.permutations(pool, length):
-            if all(v in g.adj[u] for u, v in zip(order, order[1:])):
+            if all(v in nbrs[u] for u, v in zip(order, order[1:])):
                 return order
     raise AssertionError("a single vertex is always a path")
 
@@ -296,6 +321,7 @@ def _reference_longest_path(g, within):
     """First longest path in lexicographic order, by an unpruned DFS over
     vertex sets: every path is visited, by ascending start and neighbour,
     and only a strictly longer path replaces the one kept."""
+    nbrs = neighbors(g)
     allowed = set(within)
     best: list[int] = []
     path: list[int] = []
@@ -304,7 +330,7 @@ def _reference_longest_path(g, within):
         nonlocal best
         if len(path) > len(best):
             best = list(path)
-        for u in sorted(g.adj[v] & allowed):
+        for u in sorted(nbrs[v] & allowed):
             if u not in path:
                 path.append(u)
                 extend(u)
@@ -386,8 +412,9 @@ class TestLongestPath:
         path = longest_path(g)
         _assert_valid_path(g, path)
         on_path = set(path)
+        nbrs = neighbors(g)
         for endpoint in (path[0], path[-1]):
-            assert g.adj[endpoint] <= on_path
+            assert nbrs[endpoint] <= on_path
 
 
     @given(small_graphs(max_n=7), st.data())
@@ -431,7 +458,7 @@ class TestEndpointCycle:
         path = longest_path(g)
         verts, edges = endpoint_cycle(g, path)
         u = path[0]
-        assert g.adj[u] | {u} <= verts
+        assert neighbors(g)[u] | {u} <= verts
         assert len(verts) == len(edges)
 
     def test_degree_one_endpoint_signals_no_cycle(self):
@@ -452,7 +479,7 @@ class TestEndpointCycle:
             return
         verts, edges = cyc
         u = path[0]
-        assert g.adj[u] | {u} <= verts
+        assert neighbors(g)[u] | {u} <= verts
         rest = set(range(g.n)) - verts
         assert independence_number(g, within=rest) < independence_number(g)
 
@@ -473,6 +500,7 @@ class TestConnectedComponents:
     def test_partition_properties(self, g, data):
         within = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
         comps = connected_components(g, within=within)
+        nbrs = neighbors(g)
         seen = set()
         for comp in comps:
             assert comp and not (comp & seen)
@@ -481,26 +509,27 @@ class TestConnectedComponents:
             start = min(comp)
             frontier, reach = {start}, {start}
             while frontier:
-                frontier = {w for v in frontier for w in g.adj[v] & comp} - reach
+                frontier = {w for v in frontier for w in nbrs[v] & comp} - reach
                 reach |= frontier
             assert reach == comp
         assert seen == set(within)
         for a in comps:
             for b_ in comps:
                 if a is not b_:
-                    assert not any(g.adj[v] & b_ for v in a)
+                    assert not any(nbrs[v] & b_ for v in a)
 
     @given(small_graphs(max_n=12), st.data())
     @settings(max_examples=100)
     def test_component_masks_match_set_bfs(self, g, data):
         mask = data.draw(st.integers(0, g.full_mask))
         left = {v for v in range(g.n) if mask >> v & 1}
+        nbrs = neighbors(g)
         expected = []
         while left:
             start = min(left)
             comp, frontier = {start}, {start}
             while frontier:
-                frontier = {w for v in frontier for w in g.adj[v] & left} - comp
+                frontier = {w for v in frontier for w in nbrs[v] & left} - comp
                 comp |= frontier
             expected.append(sum(1 << v for v in comp))
             left -= comp
@@ -516,6 +545,7 @@ class TestWithinRange:
         "maximum_independent_set": lambda g, w: maximum_independent_set(g, within=w),
         "independence_number": lambda g, w: independence_number(g, within=w),
         "connected_components": lambda g, w: connected_components(g, within=w),
+        "endpoint_cycle": lambda g, w: endpoint_cycle(g, tuple(range(g.n)), within=w),
         "posa_cover": posa_cover,
         "spanning_in_range": lambda g, w: spanning_in_range(g, w, 4),
     }

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_graphs
+from conftest import neighbors, small_graphs
 from pseudofactor import oracle
 from pseudofactor.errors import CapacityError
 from pseudofactor.factor import ComponentClass, validate_pseudo_factor
@@ -212,9 +212,10 @@ class TestCandidateOrder:
         for g in graphs:
             calls.clear()
             result = min_small_components_exact(g, b)
+            nbrs = neighbors(g)
             for verts, _ in calls:
                 assert len(verts) >= 3
-                assert all(len(g.adj[v] & verts) >= 2 for v in verts), (g.edges, sorted(verts))
+                assert all(len(nbrs[v] & verts) >= 2 for v in verts), (g.edges, sorted(verts))
             assert all(r is None for _, r in calls[:-1])
             large = _large_part(result)
             if large:
