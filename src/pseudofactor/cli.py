@@ -7,7 +7,8 @@ Subcommands:
   verify    run a corpus and check every row against the ceiling
 
 Exit codes: 0 ok, 2 parse error (or invalid option value, or a path that
-cannot be opened), 3 capacity refusal in strict mode, 4 bound violation,
+cannot be opened), 3 capacity refusal in strict mode, 4 bound violation
+(an exact optimum above the ceiling for b != 3, in verify and in solve),
 5 internal error (an invalid factor built by the oracle or the solver, a
 non-maximal path handed to endpoint_cycle, or values that break
 oracle <= solver <= alpha or the witness's optimum: a SOLVER_INCONSISTENT
@@ -29,6 +30,7 @@ from .generators import FamilySpec, parse_manifest
 from .graph import Graph, min_degree, read_graph_file, to_edge_list
 from .harness import (
     MODES,
+    bound_violated,
     run_corpus,
     solvers_consistent,
     theorem_bound,
@@ -116,8 +118,10 @@ def _cmd_solve(args) -> int:
     memo = SolveMemo(g)
     alpha = memo.alpha(g.full_mask)
     print(f"delta={delta} alpha={alpha} b={args.b}")
+    bound = None
     if delta >= 1:
-        print(f"theorem_bound={theorem_bound(alpha, delta, args.b)}")
+        bound = theorem_bound(alpha, delta, args.b)
+        print(f"theorem_bound={bound}")
     else:
         print("theorem_bound=n/a (isolated vertices)")
     exact = None
@@ -136,6 +140,9 @@ def _cmd_solve(args) -> int:
             print(f"step {i}: {step.kind} {step.before} -> {step.after}")
         print("heuristic factor:")
         print(factor_to_text(res.factor))
+    if bound_violated(None if exact is None else exact.optimum, bound, args.b):
+        print(f"BOUND VIOLATION: {instance} b={args.b}", file=sys.stderr)
+        return EXIT_VIOLATION
     if not solvers_consistent(alpha, exact, heur):
         print(f"SOLVER INCONSISTENT: {instance} b={args.b}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -235,8 +242,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError) as exc:
+    except (FileExistsError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         # a path the user gave that cannot be opened; other OSErrors propagate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

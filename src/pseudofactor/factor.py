@@ -53,17 +53,14 @@ class PseudoFactor:
         """
         if b < 2:
             raise ValueError(f"b must be at least 2, got {b}")
-        chosen: set[Edge] = set()
+        chosen: list[Edge] = []
         for u, v in edges:
             e = norm_edge(u, v)
             if not 0 <= e[0] < g.n or not g.adj_bits[e[0]] >> e[1] & 1:
                 raise FactorError(f"chosen edge {e} is not an edge of the graph")
-            chosen.add(e)
-        chosen_edges = tuple(sorted(chosen))
-        adj_bits = [0] * g.n
-        for u, v in chosen_edges:
-            adj_bits[u] |= 1 << v
-            adj_bits[v] |= 1 << u
+            chosen.append(e)
+        f = Graph.build(g.n, chosen)
+        chosen_edges, adj_bits = f.edges, f.adj_bits
 
         components: list[FactorComponent] = []
         for mask in component_masks(adj_bits, g.full_mask):

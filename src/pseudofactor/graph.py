@@ -415,10 +415,12 @@ def endpoint_cycle(g: Graph, path, within=None):
     which any longest path satisfies; a path that is not raises
     NonMaximalPathError. Returns (vertices, edges); the cycle always
     contains u and all of u's neighbors. Returns None when u has fewer than
-    two neighbors. Vertices of ``within`` outside 0..n-1 raise ValueError.
+    two neighbors. Vertices of ``path`` or ``within`` outside 0..n-1 raise
+    ValueError.
     """
     mask = within_mask(g, within)
     path = tuple(path)
+    within_mask(g, path)  # range check before any adj_bits read
     u = path[0]
     nbrs = g.adj_bits[u] & mask
     if nbrs.bit_count() < 2:

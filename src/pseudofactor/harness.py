@@ -68,6 +68,12 @@ class BoundReport:
 CSV_FIELDS = tuple(f.name for f in fields(BoundReport))
 
 
+def bound_violated(optimum: int | None, bound: int | None, b: int) -> bool:
+    """An exact optimum above the ceiling, for b != 3 (which carries no
+    guarantee). A missing optimum or bound checks nothing."""
+    return optimum is not None and bound is not None and b != 3 and optimum > bound
+
+
 def solvers_consistent(alpha: int | None, exact: OracleResult | None,
                        heuristic_value: int | None) -> bool:
     """The solvers' own invariants: the oracle witness attains the optimum,
@@ -123,12 +129,7 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
         capacity_hit = True
 
     oracle_opt = None if exact is None else exact.optimum
-    if (
-        oracle_opt is not None
-        and bound is not None
-        and b != 3
-        and oracle_opt > bound
-    ):
+    if bound_violated(oracle_opt, bound, b):
         status = "BOUND_VIOLATION"
     elif not solvers_consistent(alpha, exact, heur):
         status = "SOLVER_INCONSISTENT"

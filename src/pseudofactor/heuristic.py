@@ -23,7 +23,6 @@ from .graph import (
     endpoint_cycle,
     longest_path,
     norm_edge,
-    within_mask,
 )
 from .memo import SolveMemo
 
@@ -52,9 +51,8 @@ class StepRecord:
 @dataclass(frozen=True)
 class SearchState:
     f_edges: frozenset[Edge]
-    f_vertices: frozenset[int]
-    d_vertices: frozenset[int]
-    attachments: tuple[int, ...]
+    f_mask: int
+    d_mask: int
     objective: tuple[int, int, int]
 
 
@@ -94,9 +92,8 @@ def _make_state(g: Graph, f_edges, memo: SolveMemo) -> SearchState:
         f_mask |= 1 << u | 1 << v
     rest = g.full_mask ^ f_mask
     d = min(component_masks(g.adj_bits, rest), key=int.bit_count, default=0)
-    attachments = tuple(v for v in bits(f_mask) if g.adj_bits[v] & d)
     objective = (memo.alpha(rest), d.bit_count(), f_mask.bit_count())
-    return SearchState(f_edges, frozenset(bits(f_mask)), frozenset(bits(d)), attachments, objective)
+    return SearchState(f_edges, f_mask, d, objective)
 
 
 def _either_end_cycle(g: Graph, path, within=None):
@@ -202,7 +199,7 @@ def _deletable_segments(state: SearchState, fadj):
     A run is a whole cycle or a path with one F-edge leaving each end. Those
     two edges end at F-vertices of degree >= 3, which stay >= 2 unless both
     end at one vertex of degree 3."""
-    deg2 = sum(1 << v for v in state.f_vertices if fadj[v].bit_count() == 2)
+    deg2 = sum(1 << v for v in bits(state.f_mask) if fadj[v].bit_count() == 2)
     for comp in component_masks(fadj, deg2):
         outside = 0
         for v in bits(comp):
@@ -216,7 +213,7 @@ def _deletable_segments(state: SearchState, fadj):
 def _candidates(state: SearchState, g: Graph, b: int):
     """Unvalidated ``(kind, add, remove)`` rewrites of F, in ``MOVE_ORDER``.
     Nothing when G - F has no component."""
-    d = within_mask(g, state.d_vertices)
+    d = state.d_mask
     if not d:
         return
     adj = g.adj_bits
@@ -244,10 +241,12 @@ def _candidates(state: SearchState, g: Graph, b: int):
             if fdeg[u] <= b - 2:
                 yield "X6", (norm_edge(u, x0),) + p_edges + (norm_edge(u, y0),), ()
 
-    # the connector of each attachment pair (a shortest path with internal
-    # vertices in D), walked once per kind: X2, then X1, then X3
+    # attachments: the F-vertices with a neighbor in D. The connector of each
+    # pair (a shortest path with internal vertices in D) is walked once per
+    # kind: X2, then X1, then X3
+    attachments = [v for v in bits(state.f_mask) if adj[v] & d]
     pairs = []
-    for ui, uj in itertools.combinations(state.attachments, 2):
+    for ui, uj in itertools.combinations(attachments, 2):
         p = _path_through(g, d, ui, uj)
         if p is not None:
             pairs.append((ui, uj, _path_edges(p)))
@@ -322,7 +321,7 @@ def improve(state: SearchState, g: Graph, b: int,
     steps: list[StepRecord] = []
     exhausted = False
     while len(steps) < MAX_STEPS:
-        if not state.d_vertices:
+        if not state.d_mask:
             break
         for move in enumerate_moves(state, g, b):
             candidate = apply_move(state, move, g, memo)
@@ -392,13 +391,12 @@ def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     else:
         outcome = improve(state, g, b, memo)
     final = outcome.state
-    rest = frozenset(range(g.n)) - final.f_vertices
-    key = within_mask(g, rest)
+    key = g.full_mask ^ final.f_mask
     pieces = memo.covers.get(key)
     if pieces is None:
         # a fallback covers all of G, whose first path is the seed path
         path = memo.path if fallback and g.n else None
-        pieces = tuple(posa_cover(g, rest, path=path))
+        pieces = tuple(posa_cover(g, bits(key), path=path))
         memo.covers[key] = pieces
     edges = set(final.f_edges)
     for piece in pieces:

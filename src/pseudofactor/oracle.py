@@ -30,7 +30,11 @@ NAIVE_LIMIT = 9
 class OracleResult:
     optimum: int
     witness: PseudoFactor
-    blocks: tuple[tuple[int, ...], ...]
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The witness's component vertex tuples."""
+        return tuple(c.vertices for c in self.witness.components)
 
 
 def _matching_scan(g: Graph) -> tuple[list[int], list[list[int]]]:
@@ -142,9 +146,7 @@ def min_small_components_exact(g: Graph, b: int, memo: SolveMemo | None = None) 
             edges.append(norm_edge(v, w))
             rest ^= 1 << w
 
-    witness = PseudoFactor.build(g, edges, b)
-    blocks = tuple(c.vertices for c in witness.components)
-    return OracleResult(optimum, witness, blocks)
+    return OracleResult(optimum, PseudoFactor.build(g, edges, b))
 
 
 # ---------------------------------------------------------------------------

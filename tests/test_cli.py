@@ -66,6 +66,7 @@ def test_directory_paths_are_input_errors(tmp_path, capsys):
     manifest.write_text("cycle n=5\n")
     for argv in (["solve", str(tmp_path), "-b", "4"],
                  ["generate", str(tmp_path), "-o", str(tmp_path / "out")],
+                 ["generate", str(manifest), "-o", str(manifest)],
                  ["verify", str(manifest), "-b", "4", "--report", str(tmp_path)]):
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
@@ -167,11 +168,24 @@ def test_solve_witness_must_attain_optimum(capsys, monkeypatch):
 
     def shifted(g, b, memo=None):
         result = real(g, b)
-        return OracleResult(result.optimum + 1, result.witness, result.blocks)
+        return OracleResult(result.optimum + 1, result.witness)
 
     monkeypatch.setattr(cli, "min_small_components_exact", shifted)
     assert main(["solve", "--family", "path n=4", "-b", "3", "--mode", "oracle"]) == 5
     assert "SOLVER INCONSISTENT: path n=4 b=3" in capsys.readouterr().err
+
+
+def test_solve_bound_violation_exit_code(capsys, monkeypatch):
+    # the pendant family's optimum is 3, so a ceiling of 0 is violated, except
+    # at b = 3, which carries no guarantee
+    monkeypatch.setattr(cli, "theorem_bound", lambda alpha, delta, b: 0)
+    argv = ["solve", "--family", "pendant h=3", "--mode", "oracle", "-b"]
+    assert main(argv + ["4"]) == 4
+    captured = capsys.readouterr()
+    assert "oracle_optimum=3" in captured.out
+    assert "BOUND VIOLATION: pendant h=3 b=4" in captured.err
+    assert main(argv + ["3"]) == 0
+    assert "BOUND VIOLATION" not in capsys.readouterr().err
 
 
 def test_generate_round_trip(tmp_path, capsys):
@@ -261,7 +275,7 @@ def test_verify_violation_exit_code(tmp_path, capsys, monkeypatch):
 
     def inflated(g, b, memo=None):
         result = real(g, b)
-        return OracleResult(result.optimum + 99, result.witness, result.blocks)
+        return OracleResult(result.optimum + 99, result.witness)
 
     monkeypatch.setattr(harness, "min_small_components_exact", inflated)
     manifest = tmp_path / "manifest.txt"

@@ -470,6 +470,13 @@ class TestEndpointCycle:
         with pytest.raises(NonMaximalPathError):
             endpoint_cycle(g, (0, 1, 2))
 
+    @pytest.mark.parametrize("path, vertex", [((-1, 3, 2, 1, 0), -1), ((0, 4, 99, 1), 99)])
+    def test_path_vertices_range_checked(self, path, vertex):
+        # checked before any neighbor is read: -1 would read vertex 4's
+        # neighbors, and 99 would land in the returned cycle
+        with pytest.raises(ValueError, match=rf"vertex {vertex} outside 0\.\.4"):
+            endpoint_cycle(cycle_graph(5), path)
+
     @given(small_graphs(min_n=2))
     @settings(max_examples=60)
     def test_cycle_removal_lowers_alpha(self, g):

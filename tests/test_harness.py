@@ -24,6 +24,7 @@ from pseudofactor.generators import (
 from pseudofactor.graph import Graph
 from pseudofactor.harness import (
     BoundReport,
+    bound_violated,
     jsonl_body_lines,
     run_corpus,
     summarize,
@@ -94,6 +95,13 @@ class TestTheoremBound:
         with pytest.raises(ValueError):
             theorem_bound(3, 1, 1)
 
+    def test_bound_violated(self):
+        assert bound_violated(3, 2, 4)
+        assert not bound_violated(2, 2, 4)
+        assert not bound_violated(3, 2, 3)  # b = 3 carries no guarantee
+        assert not bound_violated(None, 2, 4)
+        assert not bound_violated(3, None, 4)
+
 
 class TestVerifyInstance:
     def test_cycle(self):
@@ -156,7 +164,7 @@ class TestVerifyInstance:
 
         def shifted(g, b, memo=None):
             result = real(g, b)
-            return OracleResult(result.optimum + 1, result.witness, result.blocks)
+            return OracleResult(result.optimum + 1, result.witness)
 
         monkeypatch.setattr(harness, "min_small_components_exact", shifted)
         report = verify_instance(path_graph(4), 3, mode="oracle")
@@ -167,7 +175,7 @@ class TestVerifyInstance:
 
         def inflated(g, b, memo=None):
             result = real(g, b)
-            return OracleResult(result.optimum + 99, result.witness, result.blocks)
+            return OracleResult(result.optimum + 99, result.witness)
 
         monkeypatch.setattr(harness, "min_small_components_exact", inflated)
         report = verify_instance(cycle_graph(5), 4, mode="both")
@@ -348,7 +356,7 @@ class TestRunCorpus:
 
         def inflated(g, b, memo=None):
             result = real(g, b)
-            return OracleResult(result.optimum + 99, result.witness, result.blocks)
+            return OracleResult(result.optimum + 99, result.witness)
 
         monkeypatch.setattr(harness, "min_small_components_exact", inflated)
         items = [("c5", cycle_graph(5))]

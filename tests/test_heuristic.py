@@ -1,8 +1,10 @@
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import small_graphs
+from conftest import neighbors, small_graphs
 import pseudofactor.memo as memo_module
 from pseudofactor import heuristic
 from pseudofactor.factor import is_2b_subgraph, validate_pseudo_factor
@@ -14,7 +16,7 @@ from pseudofactor.generators import (
     path_graph,
     pendant_sharpness,
 )
-from pseudofactor.graph import Graph, independence_number, longest_path
+from pseudofactor.graph import Graph, bits, independence_number, longest_path
 from pseudofactor.heuristic import (
     MOVE_ORDER,
     ExchangeMove,
@@ -41,6 +43,11 @@ def full_catalog(state, g, b):
     return moves
 
 
+def attachments(state, g):
+    """The F-vertices with a neighbor in D, ascending."""
+    return [v for v in bits(state.f_mask) if g.adj_bits[v] & state.d_mask]
+
+
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
     return Graph.build(a.n + b.n, edges)
@@ -49,8 +56,8 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 class TestInitialSubgraph:
     def test_cycle_seeds_itself(self):
         state = initial_subgraph(cycle_graph(5))
-        assert state.f_vertices == frozenset(range(5))
-        assert state.d_vertices == frozenset()
+        assert state.f_mask == 0b11111
+        assert state.d_mask == 0
         assert state.objective == (0, 0, 5)
 
     def test_hub_join_three_edges(self):
@@ -58,15 +65,63 @@ class TestInitialSubgraph:
         state = initial_subgraph(g)
         # the seed cycle is a triangle through the hub and one pair;
         # the smallest leftover component is a pair
-        assert len(state.f_vertices) == 3
-        assert 0 in state.f_vertices
-        assert len(state.d_vertices) == 2
-        assert state.attachments == (0,)
+        assert state.f_mask.bit_count() == 3
+        assert state.f_mask & 1
+        assert state.d_mask.bit_count() == 2
+        assert attachments(state, g) == [0]
 
     def test_single_edge_falls_back(self):
         state = initial_subgraph(complete_graph(2))
         assert state.f_edges == frozenset()
-        assert state.d_vertices == frozenset({0, 1})
+        assert state.d_mask == 0b11
+
+
+def set_components(g, within):
+    """Components of G[within] by search over ``neighbors(g)``, each a
+    frozenset."""
+    neigh = neighbors(g)
+    left = set(within)
+    comps = []
+    while left:
+        comp = {min(left)}
+        frontier = list(comp)
+        while frontier:
+            v = frontier.pop()
+            for w in neigh[v] & left - comp:
+                comp.add(w)
+                frontier.append(w)
+        left -= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+class TestSearchState:
+    @given(small_graphs(max_n=10), st.integers(2, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_every_visited_state_matches_set_references(self, g, b):
+        visited = []
+        make_state = heuristic._make_state
+
+        def recording(*args):
+            visited.append(make_state(*args))
+            return visited[-1]
+
+        with mock.patch.object(heuristic, "_make_state", recording):
+            improve(initial_subgraph(g), g, b)
+        assert visited
+        for state in visited:
+            f_verts = {v for e in state.f_edges for v in e}
+            assert state.f_mask == sum(1 << v for v in f_verts)
+            rest = set(range(g.n)) - f_verts
+            comps = set_components(g, rest)
+            d = {v for v in range(g.n) if state.d_mask >> v & 1}
+            if comps:
+                # a smallest component, the one with the lowest vertex on ties
+                assert d == min(comps, key=lambda c: (len(c), min(c)))
+            else:
+                assert not d
+            assert state.objective == (
+                independence_number(g, within=rest), len(d), len(f_verts))
 
 
 class TestEnumerateMoves:
@@ -79,15 +134,15 @@ class TestEnumerateMoves:
         # leaving the apex adjacent to two attachments of degree 2 < b
         g = Graph.build(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (2, 4)])
         state = initial_subgraph(g)
-        assert state.d_vertices == frozenset({4})
-        assert state.attachments == (0, 2)
+        assert state.d_mask == 1 << 4
+        assert attachments(state, g) == [0, 2]
         bridge = next(m for m in enumerate_moves(state, g, 4) if m.kind == "X2")
         assert set(bridge.add_edges) == {(0, 4), (2, 4)}
 
     def test_absorb_cycle_move_present(self):
         g = disjoint_union(cycle_graph(3), cycle_graph(3))
         state = initial_subgraph(g)
-        assert state.d_vertices == frozenset({3, 4, 5})
+        assert state.d_mask == 0b111000
         moves = enumerate_moves(state, g, 4)
         assert moves and moves[0].kind == "X4"
         assert set(moves[0].add_edges) == {(3, 4), (4, 5), (3, 5)}
@@ -155,11 +210,11 @@ class TestEnumerateMoves:
         if not state.f_edges:
             return  # solve covers G directly and never calls improve
         memo = SolveMemo(g)
-        while state.d_vertices:
+        while state.d_mask:
             moves = enumerate_moves(state, g, b)
-            d = state.d_vertices
+            d = state.d_mask
             # D is connected, so it holds a cycle iff |E(G[D])| >= |D|
-            if sum(u in d and v in d for u, v in g.edges) >= len(d):
+            if sum(d >> u & d >> v & 1 for u, v in g.edges) >= d.bit_count():
                 assert [m.kind for m in moves] == ["X4"]
             # walk on as improve does: the first strictly better state
             after = (apply_move(state, m, g, memo) for m in moves)
@@ -185,7 +240,7 @@ class TestImprove:
     def test_absorbs_second_triangle(self):
         g = disjoint_union(cycle_graph(3), cycle_graph(3))
         outcome = improve(initial_subgraph(g), g, 4)
-        assert outcome.state.f_vertices == frozenset(range(6))
+        assert outcome.state.f_mask == 0b111111
         assert outcome.steps[0].kind == "X4"
 
     def test_strict_descent(self):
