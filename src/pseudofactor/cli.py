@@ -86,9 +86,11 @@ def _cmd_generate(args) -> int:
     specs = parse_manifest(Path(args.manifest).read_text(encoding="utf-8"))
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
+    # one width for every name, so the files sort in manifest order
+    width = max(3, len(str(len(specs) - 1)))
     for idx, spec in enumerate(specs):
         g = spec.build()
-        name = f"{idx:03d}_{_slug(spec.instance_id())}.edges"
+        name = f"{idx:0{width}d}_{_slug(spec.instance_id())}.edges"
         (out / name).write_text(
             to_edge_list(g, comments=(f"instance: {spec.instance_id()}",)),
             encoding="utf-8",

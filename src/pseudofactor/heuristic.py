@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .factor import PseudoFactor, is_2b_subgraph
+from .factor import ComponentClass, FactorComponent, PseudoFactor
 from .graph import (
     Edge,
     Graph,
@@ -61,13 +61,6 @@ class ImproveOutcome:
     state: SearchState
     steps: tuple[StepRecord, ...]
     budget_exhausted: bool
-
-
-@dataclass(frozen=True)
-class CoverPiece:
-    kind: str  # "cycle" | "edge" | "vertex"
-    vertices: tuple[int, ...]
-    edges: tuple[Edge, ...]
 
 
 @dataclass(frozen=True)
@@ -211,8 +204,13 @@ def _deletable_segments(state: SearchState, fadj):
 
 
 def _candidates(state: SearchState, g: Graph, b: int):
-    """Unvalidated ``(kind, add, remove)`` rewrites of F, in ``MOVE_ORDER``.
-    Nothing when G - F has no component."""
+    """The ``ExchangeMove`` rewrites of F, in ``MOVE_ORDER``; nothing when
+    G - F has no component.
+
+    Each keeps F a degree-[2,b] subgraph by construction: every added edge
+    has an end in D, so it is new; a vertex of D gets degree 2; an F-vertex
+    keeps its degree, or gains up to the bound already checked; a removal
+    lowers only F-vertices checked to stay at 2 or more."""
     d = state.d_mask
     if not d:
         return
@@ -221,7 +219,7 @@ def _candidates(state: SearchState, g: Graph, b: int):
     # X4: absorb a cycle of D into F
     cyc = _cycle_within(g, d)
     if cyc is not None:
-        yield "X4", cyc, ()
+        yield ExchangeMove("X4", cyc, ())
 
     fadj = Graph.build(g.n, state.f_edges).adj_bits
     fdeg = [a.bit_count() for a in fadj]
@@ -239,7 +237,7 @@ def _candidates(state: SearchState, g: Graph, b: int):
         p_edges = _path_edges(p)
         for u in bits(commons):
             if fdeg[u] <= b - 2:
-                yield "X6", (norm_edge(u, x0),) + p_edges + (norm_edge(u, y0),), ()
+                yield ExchangeMove("X6", (norm_edge(u, x0),) + p_edges + (norm_edge(u, y0),), ())
 
     # attachments: the F-vertices with a neighbor in D. The connector of each
     # pair (a shortest path with internal vertices in D) is walked once per
@@ -254,13 +252,13 @@ def _candidates(state: SearchState, g: Graph, b: int):
     # X2: bridge two attachments of degree <= b-1
     for ui, uj, conn in pairs:
         if fdeg[ui] <= b - 1 and fdeg[uj] <= b - 1:
-            yield "X2", conn, ()
+            yield ExchangeMove("X2", conn, ())
 
     # X1: reroute an F-edge between the two attachments through D
     for ui, uj, conn in pairs:
         e = norm_edge(ui, uj)
         if e in state.f_edges:
-            yield "X1", conn, (e,)
+            yield ExchangeMove("X1", conn, (e,))
 
     # X3: detach one F-edge at each attachment, reconnect through D
     for ui, uj, conn in pairs:
@@ -275,35 +273,30 @@ def _candidates(state: SearchState, g: Graph, b: int):
                         continue
                 elif fdeg[x] < 3 or fdeg[y] < 3:
                     continue
-                yield "X3", conn, (norm_edge(ui, x), norm_edge(uj, y))
+                yield ExchangeMove("X3", conn, (norm_edge(ui, x), norm_edge(uj, y)))
 
     # X7: delete a maximal degree-2 segment of F
     for removal in _deletable_segments(state, fadj):
-        yield "X7", (), removal
+        yield ExchangeMove("X7", (), removal)
 
 
 def enumerate_moves(state: SearchState, g: Graph, b: int) -> list[ExchangeMove]:
-    """The rewrites of F that ``improve`` evaluates, validated to keep F a
-    degree-[2,b] subgraph and tried in ``MOVE_ORDER``. Every kind but X7 keeps
-    V(F) and adds part of D, so alpha(G - F) cannot rise and, if it stays, |D|
-    drops: the first valid such move improves and is returned alone.
-    Otherwise the list holds every valid X7 (empty when G - F is empty)."""
+    """The rewrites of F that ``improve`` evaluates, in ``MOVE_ORDER``. Every
+    kind but X7 keeps V(F) and adds part of D, so alpha(G - F) cannot rise
+    and, if it stays, |D| drops: the first such move improves and is returned
+    alone. Otherwise the list holds every X7 (empty when G - F is empty)."""
     moves: list[ExchangeMove] = []
-    for kind, add, remove in _candidates(state, g, b):
-        new_edges = (state.f_edges - set(remove)) | set(add)
-        verts = frozenset(v for e in new_edges for v in e)
-        if is_2b_subgraph(g, verts, new_edges, b):
-            move = ExchangeMove(kind, tuple(sorted(set(add))), tuple(sorted(set(remove))))
-            if kind != "X7":
-                return [move]
-            moves.append(move)
+    for move in _candidates(state, g, b):
+        if move.kind != "X7":
+            return [move]
+        moves.append(move)
     return moves
 
 
 def apply_move(state: SearchState, move: ExchangeMove, g: Graph,
                memo: SolveMemo) -> SearchState:
-    """State after a move that ``enumerate_moves`` returned for ``state``;
-    the move is trusted to keep F a degree-[2,b] subgraph."""
+    """State after a move that ``enumerate_moves`` returned for ``state``,
+    which keeps F a degree-[2,b] subgraph by construction."""
     new_edges = (state.f_edges - set(move.remove_edges)) | set(move.add_edges)
     return _make_state(g, new_edges, memo)
 
@@ -340,8 +333,9 @@ def improve(state: SearchState, g: Graph, b: int,
 # remainder cover
 
 
-def posa_cover(g: Graph, within, path: tuple[int, ...] | None = None) -> list[CoverPiece]:
-    """Vertex-disjoint cycles, edges and vertices partitioning ``within``.
+def posa_cover(g: Graph, within, path: tuple[int, ...] | None = None) -> list[FactorComponent]:
+    """Vertex-disjoint cycles, edges and vertices partitioning ``within``, as
+    ``LARGE``, ``EDGE`` and ``VERTEX`` components.
 
     Repeatedly takes a longest path of the remainder: the endpoint cycle when
     an endpoint has degree >= 2 there, otherwise the path's last edge,
@@ -352,21 +346,23 @@ def posa_cover(g: Graph, within, path: tuple[int, ...] | None = None) -> list[Co
     search.
     """
     remaining = frozenset(within)
-    pieces: list[CoverPiece] = []
+    pieces: list[FactorComponent] = []
     while remaining:
         if path is None:
             path = longest_path(g, within=remaining)
         cyc = _either_end_cycle(g, path, within=remaining)
         if cyc is not None:
             verts, edges = cyc
-            pieces.append(CoverPiece("cycle", tuple(sorted(verts)), tuple(sorted(edges))))
+            pieces.append(FactorComponent(tuple(sorted(verts)), tuple(sorted(edges)),
+                                          ComponentClass.LARGE))
             remaining -= verts
         elif len(path) >= 2:
             u, v = path[-2], path[-1]
-            pieces.append(CoverPiece("edge", tuple(sorted((u, v))), (norm_edge(u, v),)))
+            e = norm_edge(u, v)
+            pieces.append(FactorComponent(e, (e,), ComponentClass.EDGE))
             remaining -= {u, v}
         else:
-            pieces.append(CoverPiece("vertex", (path[0],), ()))
+            pieces.append(FactorComponent((path[0],), (), ComponentClass.VERTEX))
             remaining -= {path[0]}
         path = None
     return pieces

@@ -8,12 +8,9 @@ without importing the constructive solver.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING
 
+from .factor import FactorComponent
 from .graph import Graph, bits, independence_number, longest_path
-
-if TYPE_CHECKING:
-    from .heuristic import CoverPiece
 
 
 class SolveMemo:
@@ -30,7 +27,7 @@ class SolveMemo:
     def __init__(self, g: Graph):
         self.g = g
         self.alphas: dict[int, int] = {}
-        self.covers: dict[int, tuple[CoverPiece, ...]] = {}
+        self.covers: dict[int, tuple[FactorComponent, ...]] = {}
         self.scan: tuple[list[int], list[list[int]]] | None = None
 
     @classmethod

@@ -199,6 +199,18 @@ def test_generate_round_trip(tmp_path, capsys):
     assert g.n == 5 and len(g.edges) == 5
 
 
+def test_generate_keeps_manifest_order_past_999_specs(tmp_path, capsys):
+    # index 1000 must not sort between 099 and 100
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(f"gnp n=2 p=1 seed={i}\n" for i in range(1001)))
+    out = tmp_path / "graphs"
+    assert main(["generate", str(manifest), "-o", str(out)]) == 0
+    expected = [cli._slug(name) for name, _ in cli._load_items(str(manifest))]
+    names = [name for name, _ in cli._load_items(str(out))]
+    assert [name.split("_", 1)[1].removesuffix(".edges") for name in names] == expected
+    assert names[0].startswith("0000_") and names[-1].startswith("1000_")
+
+
 def test_verify_manifest(tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("cycle n=5\njoin h=1 p=3\ngnp n=7 p=0.5 seed=3\n")

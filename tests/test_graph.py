@@ -477,6 +477,14 @@ class TestEndpointCycle:
         with pytest.raises(ValueError, match=rf"vertex {vertex} outside 0\.\.4"):
             endpoint_cycle(cycle_graph(5), path)
 
+    @pytest.mark.parametrize("path", [(), (0, 1, 0, 4), (0, 2, 4, 1, 3)])
+    def test_non_paths_rejected(self, path):
+        # empty, a repeated vertex, non-adjacent steps: a plain ValueError,
+        # not the solver's internal NonMaximalPathError
+        with pytest.raises(ValueError, match="is not a path of the graph") as info:
+            endpoint_cycle(cycle_graph(5), path)
+        assert type(info.value) is ValueError
+
     @given(small_graphs(min_n=2))
     @settings(max_examples=60)
     def test_cycle_removal_lowers_alpha(self, g):

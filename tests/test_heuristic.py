@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import neighbors, small_graphs
 import pseudofactor.memo as memo_module
 from pseudofactor import heuristic
-from pseudofactor.factor import is_2b_subgraph, validate_pseudo_factor
+from pseudofactor.factor import ComponentClass, is_2b_subgraph, validate_pseudo_factor
 from pseudofactor.generators import (
     complete_graph,
     cycle_graph,
@@ -19,7 +20,6 @@ from pseudofactor.generators import (
 from pseudofactor.graph import Graph, bits, independence_number, longest_path
 from pseudofactor.heuristic import (
     MOVE_ORDER,
-    ExchangeMove,
     SolveMemo,
     apply_move,
     enumerate_moves,
@@ -29,18 +29,6 @@ from pseudofactor.heuristic import (
     solve,
 )
 from pseudofactor.oracle import min_small_components_exact
-
-
-def full_catalog(state, g, b):
-    """Every candidate rewrite that keeps the degree window, in the order
-    enumerate_moves tries them."""
-    moves = []
-    for kind, add, remove in heuristic._candidates(state, g, b):
-        new_edges = (state.f_edges - set(remove)) | set(add)
-        verts = frozenset(v for e in new_edges for v in e)
-        if is_2b_subgraph(g, verts, new_edges, b):
-            moves.append(ExchangeMove(kind, tuple(sorted(set(add))), tuple(sorted(set(remove)))))
-    return moves
 
 
 def attachments(state, g):
@@ -76,6 +64,21 @@ class TestInitialSubgraph:
         assert state.d_mask == 0b11
 
 
+def visited_states(g, b):
+    """Every state ``_make_state`` builds while ``initial_subgraph`` and
+    ``improve`` run on ``g`` at ``b``."""
+    visited = []
+    make_state = heuristic._make_state
+
+    def recording(*args):
+        visited.append(make_state(*args))
+        return visited[-1]
+
+    with mock.patch.object(heuristic, "_make_state", recording):
+        improve(initial_subgraph(g), g, b)
+    return visited
+
+
 def set_components(g, within):
     """Components of G[within] by search over ``neighbors(g)``, each a
     frozenset."""
@@ -99,15 +102,7 @@ class TestSearchState:
     @given(small_graphs(max_n=10), st.integers(2, 6))
     @settings(max_examples=150, deadline=None)
     def test_every_visited_state_matches_set_references(self, g, b):
-        visited = []
-        make_state = heuristic._make_state
-
-        def recording(*args):
-            visited.append(make_state(*args))
-            return visited[-1]
-
-        with mock.patch.object(heuristic, "_make_state", recording):
-            improve(initial_subgraph(g), g, b)
+        visited = visited_states(g, b)
         assert visited
         for state in visited:
             f_verts = {v for e in state.f_edges for v in e}
@@ -153,18 +148,53 @@ class TestEnumerateMoves:
         kinds = {m.kind for m in enumerate_moves(state, g, 4)}
         assert "X7" in kinds
 
-    def test_every_move_preserves_the_degree_window(self):
-        for seed in range(15):
-            g = gnp(8, 0.45, seed)
-            state = initial_subgraph(g)
-            for move in enumerate_moves(state, g, 4):
-                new_edges = (state.f_edges - set(move.remove_edges)) | set(move.add_edges)
-                verts = frozenset(v for e in new_edges for v in e)
-                assert is_2b_subgraph(g, verts, new_edges, 4), move
+    @staticmethod
+    def assert_candidates_keep_the_degree_window(state, g, b):
+        # the moves are valid by construction; is_2b_subgraph is the reference
+        for move in heuristic._candidates(state, g, b):
+            add, remove = set(move.add_edges), set(move.remove_edges)
+            assert len(add) == len(move.add_edges) and not add & state.f_edges, move
+            assert len(remove) == len(move.remove_edges) and remove <= state.f_edges, move
+            new_edges = (state.f_edges - remove) | add
+            verts = frozenset(v for e in new_edges for v in e)
+            assert is_2b_subgraph(g, verts, new_edges, b), (state, move)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_candidate_keeps_the_degree_window_exhaustive(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        for k in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, k):
+                g = Graph.build(n, edges)
+                for b in range(2, 7):
+                    for state in visited_states(g, b):
+                        self.assert_candidates_keep_the_degree_window(state, g, b)
+
+    @given(small_graphs(max_n=10), st.integers(2, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_every_candidate_keeps_the_degree_window(self, g, b):
+        for state in visited_states(g, b):
+            self.assert_candidates_keep_the_degree_window(state, g, b)
+
+    def test_segment_ending_twice_at_a_degree_3_vertex_kept(self):
+        # F is two triangles joined by the edge 2-3, D the vertex 6: each
+        # degree-2 run {0, 1} and {4, 5} ends twice at one degree-3 vertex,
+        # which its deletion would leave at degree 1
+        f_edges = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]
+        g = Graph.build(7, f_edges + [(0, 6)])
+        state = heuristic._make_state(g, f_edges, SolveMemo(g))
+        assert state.d_mask == 1 << 6
+        assert list(heuristic._candidates(state, g, 4)) == []
+        # a degree-4 vertex may lose both ends: the figure eight at 2
+        f_edges = [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
+        g = Graph.build(6, f_edges + [(0, 5)])
+        state = heuristic._make_state(g, f_edges, SolveMemo(g))
+        moves = list(heuristic._candidates(state, g, 4))
+        assert [m.remove_edges for m in moves] == [((0, 1), (0, 2), (1, 2)),
+                                                   ((2, 3), (2, 4), (3, 4))]
+        self.assert_candidates_keep_the_degree_window(state, g, 4)
 
     def test_kinds_follow_move_order(self, monkeypatch):
-        # the full validated catalog comes out in MOVE_ORDER (X2, X1 and X3
+        # the full catalog comes out in MOVE_ORDER (X2, X1 and X3
         # share each attachment pair's connector but are walked kind by kind);
         # enumerate_moves stops at its first entry unless that is an X7
         visited = []
@@ -181,7 +211,7 @@ class TestEnumerateMoves:
         rank = {kind: i for i, kind in enumerate(MOVE_ORDER)}
         catalogs = []
         for state, g, b in visited:
-            full = full_catalog(state, g, b)
+            full = list(heuristic._candidates(state, g, b))
             catalogs.append([m.kind for m in full])
             ranks = [rank[m.kind] for m in full]
             assert ranks == sorted(ranks), catalogs[-1]
@@ -284,7 +314,7 @@ class TestPosaCover:
         g = cycle_graph(5)
         pieces = posa_cover(g, range(5))
         assert len(pieces) == 1
-        assert pieces[0].kind == "cycle"
+        assert pieces[0].kind is ComponentClass.LARGE
 
     def test_path_on_three(self):
         pieces = posa_cover(path_graph(3), range(3))
