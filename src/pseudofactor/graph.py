@@ -416,13 +416,13 @@ def endpoint_cycle(g: Graph, path, within=None):
     NonMaximalPathError. Returns (vertices, edges); the cycle always
     contains u and all of u's neighbors. Returns None when u has fewer than
     two neighbors. Vertices of ``path`` or ``within`` outside 0..n-1 raise
-    ValueError, and so does a ``path`` that is empty, repeats a vertex or
-    steps between non-adjacent vertices.
+    ValueError, and so does a ``path`` that is empty, repeats a vertex,
+    leaves ``within`` or steps between non-adjacent vertices.
     """
     mask = within_mask(g, within)
     path = tuple(path)
     path_mask = within_mask(g, path)  # range check before any adj_bits read
-    if (not path or path_mask.bit_count() != len(path)
+    if (not path or path_mask.bit_count() != len(path) or path_mask & ~mask
             or any(not g.adj_bits[v] >> w & 1 for v, w in zip(path, path[1:]))):
         raise ValueError(f"{path} is not a path of the graph")
     u = path[0]

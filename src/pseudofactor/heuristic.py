@@ -21,8 +21,8 @@ from .graph import (
     bits,
     component_masks,
     endpoint_cycle,
-    longest_path,
     norm_edge,
+    within_mask,
 )
 from .memo import SolveMemo
 
@@ -90,7 +90,8 @@ def _make_state(g: Graph, f_edges, memo: SolveMemo) -> SearchState:
 
 
 def _either_end_cycle(g: Graph, path, within=None):
-    """``endpoint_cycle`` at the path's first endpoint, else at its last."""
+    """``endpoint_cycle`` at the path's first endpoint, else at its last;
+    ``within`` is read twice, so it must not be an iterator."""
     cyc = endpoint_cycle(g, path, within=within)
     if cyc is None:
         cyc = endpoint_cycle(g, path[::-1], within=within)
@@ -102,7 +103,7 @@ def initial_subgraph(g: Graph, memo: SolveMemo | None = None) -> SearchState:
     path neighbor, when some endpoint has degree >= 2; otherwise F is empty
     and the caller degrades to the cover alone."""
     memo = SolveMemo.of(g, memo)
-    cyc = _either_end_cycle(g, memo.path) if g.n else None
+    cyc = _either_end_cycle(g, memo.path(g.full_mask)) if g.n else None
     edges = cyc[1] if cyc is not None else ()
     return _make_state(g, edges, memo)
 
@@ -143,14 +144,13 @@ def _path_edges(path: list[int]) -> tuple[Edge, ...]:
     return tuple(norm_edge(path[i], path[i + 1]) for i in range(len(path) - 1))
 
 
-def _cycle_within(g: Graph, d: int):
+def _cycle_within(g: Graph, d: int, memo: SolveMemo):
     """The edges of a cycle inside G[d], d a vertex mask: the longest-path
     endpoint cycle when available, otherwise any cycle found by DFS. None
     when G[d] is a forest."""
     if d.bit_count() < 3:
         return None
-    within = tuple(bits(d))
-    cyc = _either_end_cycle(g, longest_path(g, within=within), within=within)
+    cyc = _either_end_cycle(g, memo.path(d), tuple(bits(d)))
     if cyc is not None:
         return cyc[1]
 
@@ -203,7 +203,7 @@ def _deletable_segments(state: SearchState, fadj):
         yield tuple(sorted(e for e in state.f_edges if (comp >> e[0] | comp >> e[1]) & 1))
 
 
-def _candidates(state: SearchState, g: Graph, b: int):
+def _candidates(state: SearchState, g: Graph, b: int, memo: SolveMemo):
     """The ``ExchangeMove`` rewrites of F, in ``MOVE_ORDER``; nothing when
     G - F has no component.
 
@@ -217,7 +217,7 @@ def _candidates(state: SearchState, g: Graph, b: int):
     adj = g.adj_bits
 
     # X4: absorb a cycle of D into F
-    cyc = _cycle_within(g, d)
+    cyc = _cycle_within(g, d, memo)
     if cyc is not None:
         yield ExchangeMove("X4", cyc, ())
 
@@ -280,13 +280,15 @@ def _candidates(state: SearchState, g: Graph, b: int):
         yield ExchangeMove("X7", (), removal)
 
 
-def enumerate_moves(state: SearchState, g: Graph, b: int) -> list[ExchangeMove]:
+def enumerate_moves(state: SearchState, g: Graph, b: int,
+                    memo: SolveMemo | None = None) -> list[ExchangeMove]:
     """The rewrites of F that ``improve`` evaluates, in ``MOVE_ORDER``. Every
     kind but X7 keeps V(F) and adds part of D, so alpha(G - F) cannot rise
     and, if it stays, |D| drops: the first such move improves and is returned
     alone. Otherwise the list holds every X7 (empty when G - F is empty)."""
+    memo = SolveMemo.of(g, memo)
     moves: list[ExchangeMove] = []
-    for move in _candidates(state, g, b):
+    for move in _candidates(state, g, b, memo):
         if move.kind != "X7":
             return [move]
         moves.append(move)
@@ -316,7 +318,7 @@ def improve(state: SearchState, g: Graph, b: int,
     while len(steps) < MAX_STEPS:
         if not state.d_mask:
             break
-        for move in enumerate_moves(state, g, b):
+        for move in enumerate_moves(state, g, b, memo):
             candidate = apply_move(state, move, g, memo)
             if candidate.objective < state.objective:
                 steps.append(StepRecord(move.kind, state.objective, candidate.objective))
@@ -333,38 +335,33 @@ def improve(state: SearchState, g: Graph, b: int,
 # remainder cover
 
 
-def posa_cover(g: Graph, within, path: tuple[int, ...] | None = None) -> list[FactorComponent]:
+def posa_cover(g: Graph, within, memo: SolveMemo | None = None) -> list[FactorComponent]:
     """Vertex-disjoint cycles, edges and vertices partitioning ``within``, as
     ``LARGE``, ``EDGE`` and ``VERTEX`` components.
 
-    Repeatedly takes a longest path of the remainder: the endpoint cycle when
-    an endpoint has degree >= 2 there, otherwise the path's last edge,
-    otherwise a singleton. Every extracted piece contains the closed
-    neighborhood of the examined endpoint, so the piece count never exceeds
-    the independence number of the induced subgraph. ``path``, when given,
-    must be ``longest_path(g, within=within)`` and stands in for the first
-    search.
+    Repeatedly takes a longest path of the remainder, from ``memo.path``:
+    the endpoint cycle when an endpoint has degree >= 2 there, otherwise the
+    path's last edge, otherwise a singleton. Every extracted piece contains
+    the closed neighborhood of the examined endpoint, so the piece count
+    never exceeds the independence number of the induced subgraph.
     """
-    remaining = frozenset(within)
+    memo = SolveMemo.of(g, memo)
+    remaining = within_mask(g, within)
     pieces: list[FactorComponent] = []
     while remaining:
-        if path is None:
-            path = longest_path(g, within=remaining)
-        cyc = _either_end_cycle(g, path, within=remaining)
+        path = memo.path(remaining)
+        cyc = _either_end_cycle(g, path, tuple(bits(remaining)))
         if cyc is not None:
             verts, edges = cyc
-            pieces.append(FactorComponent(tuple(sorted(verts)), tuple(sorted(edges)),
-                                          ComponentClass.LARGE))
-            remaining -= verts
+            piece = FactorComponent(tuple(sorted(verts)), tuple(sorted(edges)),
+                                    ComponentClass.LARGE)
         elif len(path) >= 2:
-            u, v = path[-2], path[-1]
-            e = norm_edge(u, v)
-            pieces.append(FactorComponent(e, (e,), ComponentClass.EDGE))
-            remaining -= {u, v}
+            e = norm_edge(path[-2], path[-1])
+            piece = FactorComponent(e, (e,), ComponentClass.EDGE)
         else:
-            pieces.append(FactorComponent((path[0],), (), ComponentClass.VERTEX))
-            remaining -= {path[0]}
-        path = None
+            piece = FactorComponent((path[0],), (), ComponentClass.VERTEX)
+        pieces.append(piece)
+        remaining ^= within_mask(g, piece.vertices)
     return pieces
 
 
@@ -390,9 +387,7 @@ def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     key = g.full_mask ^ final.f_mask
     pieces = memo.covers.get(key)
     if pieces is None:
-        # a fallback covers all of G, whose first path is the seed path
-        path = memo.path if fallback and g.n else None
-        pieces = tuple(posa_cover(g, bits(key), path=path))
+        pieces = tuple(posa_cover(g, bits(key), memo))
         memo.covers[key] = pieces
     edges = set(final.f_edges)
     for piece in pieces:

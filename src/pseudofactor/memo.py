@@ -2,12 +2,11 @@
 every b row of that graph.
 
 The memo sits below both solvers, so the exact oracle can keep its scan in it
-without importing the constructive solver.
+without importing the constructive solver. Every longest-path search of the
+solver goes through ``SolveMemo.path``.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from .factor import FactorComponent
 from .graph import Graph, bits, independence_number, longest_path
@@ -15,17 +14,19 @@ from .graph import Graph, bits, independence_number, longest_path
 
 class SolveMemo:
     """The searches on one graph that do not depend on b, each run on first
-    use and then shared by every stage and every b that asks: the seed path,
-    alpha of each induced subgraph met (keyed by the mask of its vertex set,
-    so alpha(G) is the entry of the full set and each alpha(G - F) the entry
-    of ``V - F``), the cover of each leftover set (keyed by its mask) and the
-    exact oracle's matching-table scan (``scan``: the ``nu`` table and the
-    candidate groups, filled by ``min_small_components_exact``, whose walk
-    sorts each group in place when it first reaches it). A search that
-    refuses stores nothing, so every call that needs it is refused again."""
+    use and then shared by every stage and every b that asks: the longest
+    path and the alpha of each induced subgraph met (both keyed by the mask
+    of its vertex set, so the seed path and alpha(G) are the entries of the
+    full set and each alpha(G - F) the entry of ``V - F``), the cover of each
+    leftover set (keyed by its mask) and the exact oracle's matching-table
+    scan (``scan``: the ``nu`` table and the candidate groups, filled by
+    ``min_small_components_exact``, whose walk sorts each group in place when
+    it first reaches it). A search that refuses stores nothing, so every call
+    that needs it is refused again."""
 
     def __init__(self, g: Graph):
         self.g = g
+        self.paths: dict[int, tuple[int, ...]] = {}
         self.alphas: dict[int, int] = {}
         self.covers: dict[int, tuple[FactorComponent, ...]] = {}
         self.scan: tuple[list[int], list[list[int]]] | None = None
@@ -39,10 +40,13 @@ class SolveMemo:
             raise ValueError("memo belongs to another graph")
         return memo
 
-    @cached_property
-    def path(self) -> tuple[int, ...]:
-        """``longest_path(g)``, the solver's seed path."""
-        return longest_path(self.g)
+    def path(self, mask: int) -> tuple[int, ...]:
+        """``longest_path`` of G[mask], mask nonempty, searched once per mask."""
+        val = self.paths.get(mask)
+        if val is None:
+            val = longest_path(self.g, within=bits(mask))
+            self.paths[mask] = val
+        return val
 
     def alpha(self, mask: int) -> int:
         """alpha(G[mask]) of a vertex mask, searched once per mask."""

@@ -477,12 +477,16 @@ class TestEndpointCycle:
         with pytest.raises(ValueError, match=rf"vertex {vertex} outside 0\.\.4"):
             endpoint_cycle(cycle_graph(5), path)
 
-    @pytest.mark.parametrize("path", [(), (0, 1, 0, 4), (0, 2, 4, 1, 3)])
-    def test_non_paths_rejected(self, path):
-        # empty, a repeated vertex, non-adjacent steps: a plain ValueError,
-        # not the solver's internal NonMaximalPathError
+    @pytest.mark.parametrize("path, within", [
+        ((), None), ((0, 1, 0, 4), None), ((0, 2, 4, 1, 3), None),
+        ((0, 1, 2, 3, 4), (0, 1, 4)),
+    ], ids=[f"path{i}" for i in range(4)])
+    def test_non_paths_rejected(self, path, within):
+        # empty, a repeated vertex, non-adjacent steps, vertices outside
+        # ``within``: a plain ValueError, not the solver's internal
+        # NonMaximalPathError
         with pytest.raises(ValueError, match="is not a path of the graph") as info:
-            endpoint_cycle(cycle_graph(5), path)
+            endpoint_cycle(cycle_graph(5), path, within=within)
         assert type(info.value) is ValueError
 
     @given(small_graphs(min_n=2))

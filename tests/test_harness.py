@@ -272,9 +272,10 @@ class TestRunCorpus:
         original = heuristic.posa_cover
         calls = []
 
-        def spy(g, within, path=None):
+        def spy(g, within, memo=None):
+            within = tuple(within)  # solve passes a generator
             calls.append((id(g), frozenset(within)))
-            return original(g, within, path=path)
+            return original(g, within, memo)
 
         monkeypatch.setattr(heuristic, "posa_cover", spy)
         expected = [

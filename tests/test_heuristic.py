@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,7 +19,7 @@ from pseudofactor.generators import (
     path_graph,
     pendant_sharpness,
 )
-from pseudofactor.graph import Graph, bits, independence_number, longest_path
+from pseudofactor.graph import Graph, bits, independence_number, longest_path, within_mask
 from pseudofactor.heuristic import (
     MOVE_ORDER,
     SolveMemo,
@@ -151,7 +153,7 @@ class TestEnumerateMoves:
     @staticmethod
     def assert_candidates_keep_the_degree_window(state, g, b):
         # the moves are valid by construction; is_2b_subgraph is the reference
-        for move in heuristic._candidates(state, g, b):
+        for move in heuristic._candidates(state, g, b, SolveMemo(g)):
             add, remove = set(move.add_edges), set(move.remove_edges)
             assert len(add) == len(move.add_edges) and not add & state.f_edges, move
             assert len(remove) == len(move.remove_edges) and remove <= state.f_edges, move
@@ -183,12 +185,12 @@ class TestEnumerateMoves:
         g = Graph.build(7, f_edges + [(0, 6)])
         state = heuristic._make_state(g, f_edges, SolveMemo(g))
         assert state.d_mask == 1 << 6
-        assert list(heuristic._candidates(state, g, 4)) == []
+        assert list(heuristic._candidates(state, g, 4, SolveMemo(g))) == []
         # a degree-4 vertex may lose both ends: the figure eight at 2
         f_edges = [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
         g = Graph.build(6, f_edges + [(0, 5)])
         state = heuristic._make_state(g, f_edges, SolveMemo(g))
-        moves = list(heuristic._candidates(state, g, 4))
+        moves = list(heuristic._candidates(state, g, 4, SolveMemo(g)))
         assert [m.remove_edges for m in moves] == [((0, 1), (0, 2), (1, 2)),
                                                    ((2, 3), (2, 4), (3, 4))]
         self.assert_candidates_keep_the_degree_window(state, g, 4)
@@ -199,9 +201,9 @@ class TestEnumerateMoves:
         # enumerate_moves stops at its first entry unless that is an X7
         visited = []
 
-        def recording(state, g, b):
+        def recording(state, g, b, memo=None):
             visited.append((state, g, b))
-            return enumerate_moves(state, g, b)
+            return enumerate_moves(state, g, b, memo)
 
         monkeypatch.setattr(heuristic, "enumerate_moves", recording)
         for n in range(7, 11):
@@ -211,7 +213,7 @@ class TestEnumerateMoves:
         rank = {kind: i for i, kind in enumerate(MOVE_ORDER)}
         catalogs = []
         for state, g, b in visited:
-            full = list(heuristic._candidates(state, g, b))
+            full = list(heuristic._candidates(state, g, b, SolveMemo(g)))
             catalogs.append([m.kind for m in full])
             ranks = [rank[m.kind] for m in full]
             assert ranks == sorted(ranks), catalogs[-1]
@@ -334,10 +336,12 @@ class TestPosaCover:
 
     @given(small_graphs(), st.data())
     @settings(max_examples=50, deadline=None)
-    def test_given_first_path_changes_nothing(self, g, data):
+    def test_warm_memo_changes_nothing(self, g, data):
         within = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
-        path = longest_path(g, within=within)
-        assert posa_cover(g, within, path=path) == posa_cover(g, within)
+        memo = SolveMemo(g)
+        for b in range(2, 7):
+            solve(g, b, memo=memo)
+        assert posa_cover(g, within, memo) == posa_cover(g, within)
 
 
 class TestSolve:
@@ -401,21 +405,43 @@ class TestSolve:
         with pytest.raises(ValueError, match="another graph"):
             improve(state, g, 4, memo=SolveMemo(twin))
 
-    def test_fallback_searches_the_seed_path_once(self, monkeypatch):
-        calls = []
+    def test_shared_memo_searches_each_mask_once(self, monkeypatch):
+        # the seed, X4's cycle hunts and the cover all search through the
+        # memo, so b rows sharing it never search one vertex mask twice
+        masks = []
 
         def counting(g, within=None):
-            calls.append(within)
+            within = None if within is None else tuple(within)
+            masks.append(within_mask(g, within))
             return longest_path(g, within=within)
 
-        # the seed path is the memo's search; the cover searches in heuristic
-        monkeypatch.setattr(memo_module, "longest_path", counting)
-        monkeypatch.setattr(heuristic, "longest_path", counting)
-        g = pendant_sharpness(cycle_graph(3))
-        assert solve(g, 4).fallback
-        in_solve = len(calls)
-        calls.clear()
-        initial_subgraph(g)
-        posa_cover(g, range(g.n))
-        # the seed and the cover's first search are the same call
-        assert in_solve == len(calls) - 1
+        for module in (memo_module, heuristic):
+            if getattr(module, "longest_path", None) is longest_path:
+                monkeypatch.setattr(module, "longest_path", counting)
+        # each repeats a mask when X4 or the cover search outside the memo;
+        # the pendant graph falls back to covering all of G
+        graphs = [join_sharpness(complete_graph(1), 3), gnp(6, 0.5, 0), gnp(9, 0.3, 5),
+                  pendant_sharpness(cycle_graph(3))]
+        for g in graphs:
+            masks.clear()
+            memo = SolveMemo(g)
+            for b in range(2, 7):
+                solve(g, b, memo=memo)
+            assert g.full_mask in masks
+            assert len(masks) == len(set(masks)), (g.edges, masks)
+
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "pseudofactor").glob("*.py"))
+
+
+def test_only_the_memo_calls_longest_path():
+    # one seam: a later path search replaces the call in memo.py alone
+    callers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "longest_path":
+                    callers.add(path.name)
+    assert callers == {"memo.py"}
