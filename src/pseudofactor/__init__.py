@@ -34,7 +34,6 @@ from .generators import (
 )
 from .graph import (
     Graph,
-    connected_components,
     endpoint_cycle,
     independence_number,
     load_dimacs,

@@ -86,6 +86,10 @@ def _cmd_generate(args) -> int:
     specs = parse_manifest(Path(args.manifest).read_text(encoding="utf-8"))
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
+    # graphs of an earlier run would interleave with this run's in verify
+    old = next(out.glob("*.edges"), None)
+    if old is not None:
+        raise FileExistsError(errno.EEXIST, "output directory already holds graph files", str(old))
     # one width for every name, so the files sort in manifest order
     width = max(3, len(str(len(specs) - 1)))
     for idx, spec in enumerate(specs):

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError, FactorError
-from .graph import Edge, Graph, bits, component_masks, norm_edge, within_mask
+from .graph import Edge, Graph, bits, component_masks, norm_edge, vertex_mask
 
 #: largest block size accepted by the exact degree-window spanning search
 SPANNING_LIMIT = 20
@@ -122,33 +122,32 @@ def is_2b_subgraph(g: Graph, vertices, edges, b: int) -> bool:
 # degree-window spanning subgraphs
 
 
-def spanning_in_range(g: Graph, s, b: int):
-    """An edge subset of G[s] giving every vertex of ``s`` degree in [2, b],
-    or None if none exists.
+def spanning_in_range(g: Graph, mask: int, b: int):
+    """An edge subset of G[mask] giving every vertex of ``mask`` degree in
+    [2, b], or None if none exists.
 
     Memoized search over the vertices in deficiency order (lowest induced
     degree first): a vertex decides its edges toward later vertices, and any
     vertex whose remaining possible degree cannot reach 2 fails the branch
     fast. Exact; blocks larger than SPANNING_LIMIT raise CapacityError, and
-    vertices outside 0..n-1 raise ValueError.
+    ``vertex_mask`` checks ``mask``.
     """
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
-    verts = sorted(set(s))
-    mask = within_mask(g, verts)
-    k = len(verts)
+    mask = vertex_mask(g, mask)
+    k = mask.bit_count()
     if k < 3:
         return None
     if k > SPANNING_LIMIT:
         raise CapacityError(f"spanning search limited to {SPANNING_LIMIT} vertices, got {k}")
-    induced_deg = {v: (g.adj_bits[v] & mask).bit_count() for v in verts}
+    induced_deg = {v: (g.adj_bits[v] & mask).bit_count() for v in bits(mask)}
     if min(induced_deg.values()) < 2:
         return None
     induced_edges = [e for e in g.edges if e[0] in induced_deg and e[1] in induced_deg]
     if max(induced_deg.values()) <= b:
         return tuple(induced_edges)
 
-    order = sorted(verts, key=lambda v: (induced_deg[v], v))
+    order = sorted(induced_deg, key=lambda v: (induced_deg[v], v))
     pos = {v: i for i, v in enumerate(order)}
     fwd = [sorted(pos[w] for w in bits(g.adj_bits[v] & mask) if pos[w] > i)
            for i, v in enumerate(order)]

@@ -1,7 +1,8 @@
 """Simple undirected graphs and the exact search routines everything else uses.
 
-Vertices are dense integer indices 0..n-1, so vertex subsets double as
-bitmasks inside the search kernels. Graphs are immutable after construction
+Vertices are dense integer indices 0..n-1. A vertex set passed between
+functions is an int bitmask (bit v for vertex v), checked by ``vertex_mask``;
+paths and edges are vertex tuples. Graphs are immutable after construction
 and every operation here is a pure function, which makes values safe to share
 across concurrent workers.
 
@@ -31,21 +32,20 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def within_mask(g: Graph, within) -> int:
-    """Bitmask of the vertices ``within`` (all of g when None).
+def vertex_mask(g: Graph, mask: int | None) -> int:
+    """``mask`` checked as a vertex set of g; all of g when None.
 
-    A vertex outside 0..n-1 raises ValueError, checked before its bit is
-    set, so a huge vertex number allocates nothing.
+    Anything but an int, such as a set of vertices, raises TypeError. A
+    negative mask, or one with a bit at n or above, raises ValueError; the
+    check reads ``bit_length`` only, so it never shifts or copies the mask.
     """
-    if within is None:
+    if mask is None:
         return g.full_mask
-    n = g.n
-    m = 0
-    for v in within:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} outside 0..{n - 1}")
-        m |= 1 << v
-    return m
+    if not isinstance(mask, int):
+        raise TypeError(f"a vertex set is an int bitmask, not {type(mask).__name__}")
+    if mask < 0 or mask.bit_length() > g.n:
+        raise ValueError(f"vertex mask has a bit outside 0..{g.n - 1}")
+    return mask
 
 
 def bits(mask: int):
@@ -217,8 +217,9 @@ def read_graph_file(path) -> Graph:
 
 
 def to_edge_list(g: Graph, comments: tuple[str, ...] = ()) -> str:
-    """Render ``g`` in the edge-list format (round-trips through load_edge_list)."""
-    lines = [f"# {c}" for c in comments]
+    """Render ``g`` in the edge-list format (round-trips through
+    load_edge_list); each line of a comment becomes its own ``#`` line."""
+    lines = [f"# {line}" for c in comments for line in c.splitlines()]
     lines.append(f"n {g.n}")
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
@@ -254,8 +255,8 @@ def _greedy_independent(adj_bits, mask: int) -> int:
     return chosen
 
 
-def maximum_independent_set(g: Graph, within=None) -> frozenset[int]:
-    """A maximum independent set of g (restricted to ``within`` if given).
+def maximum_independent_set(g: Graph, mask: int | None = None) -> int:
+    """The mask of a maximum independent set of G[mask] (of g when None).
 
     Exact branch and bound: branch on a highest-degree vertex of the
     candidate set, the lowest-index one on ties (in, then out of the set),
@@ -264,9 +265,9 @@ def maximum_independent_set(g: Graph, within=None) -> frozenset[int]:
     set, so the returned set is the first maximum set in that branch order,
     or the greedy set when it is already maximum. Guaranteed correct for every
     instance it accepts; instances above INDEPENDENCE_LIMIT vertices raise
-    CapacityError, and vertices outside 0..n-1 raise ValueError.
+    CapacityError, and ``vertex_mask`` checks ``mask``.
     """
-    mask = within_mask(g, within)
+    mask = vertex_mask(g, mask)
     if mask.bit_count() > INDEPENDENCE_LIMIT:
         raise CapacityError(
             f"independence search limited to {INDEPENDENCE_LIMIT} vertices, got {mask.bit_count()}"
@@ -295,40 +296,33 @@ def maximum_independent_set(g: Graph, within=None) -> frozenset[int]:
         expand(cand & ~bit, size, chosen)
 
     expand(mask, 0, 0)
-    return frozenset(bits(best_set))
+    return best_set
 
 
-def independence_number(g: Graph, within=None) -> int:
-    return len(maximum_independent_set(g, within=within))
-
-
-def _reachable(adj_bits, start: int, avail: int) -> int:
-    """Bitmask of vertices in ``avail`` reachable from ``start`` (start excluded)."""
-    seen = adj_bits[start] & avail
-    frontier = seen
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= adj_bits[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & avail & ~seen
-        seen |= frontier
-    return seen
+def independence_number(g: Graph, mask: int | None = None) -> int:
+    return maximum_independent_set(g, mask).bit_count()
 
 
 def component_masks(adj_bits, mask: int):
-    """Bitmasks of the connected components of ``mask``, by smallest member."""
+    """Bitmasks of the connected components of ``mask``, by smallest member:
+    each grows from the lowest vertex left, one frontier at a time."""
     while mask:
-        start = (mask & -mask).bit_length() - 1
-        comp = (1 << start) | _reachable(adj_bits, start, mask)
+        comp = frontier = mask & -mask
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj_bits[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & mask & ~comp
+            comp |= frontier
         yield comp
-        mask &= ~comp
+        mask ^= comp
 
 
-def longest_path(g: Graph, within=None) -> tuple[int, ...]:
+def longest_path(g: Graph, mask: int | None = None) -> tuple[int, ...]:
     """The lexicographically smallest path (distinct vertices, consecutive
-    adjacent) among those with the most vertices.
+    adjacent) among those of G[mask] (of g when None) with the most vertices.
 
     Exhaustive DFS from every start vertex in ascending order, extending by
     ascending neighbor, so paths are visited in lexicographic order; ``best``
@@ -347,10 +341,9 @@ def longest_path(g: Graph, within=None) -> tuple[int, ...]:
     and a subtree that a valid bound prunes holds no strictly longer path,
     so ``best`` changes at the same paths either way. Start vertices stop
     once ``best`` spans a largest component. Exponential; refuses instances
-    above LONGEST_PATH_LIMIT vertices, and vertices outside 0..n-1 raise
-    ValueError.
+    above LONGEST_PATH_LIMIT vertices, and ``vertex_mask`` checks ``mask``.
     """
-    mask = within_mask(g, within)
+    mask = vertex_mask(g, mask)
     k = mask.bit_count()
     if k == 0:
         raise ValueError("longest path of an empty vertex set is undefined")
@@ -367,7 +360,7 @@ def longest_path(g: Graph, within=None) -> tuple[int, ...]:
         ext = adj[v] & avail
         if not ext:
             return
-        # the bitmask walks below are _reachable and bits() written inline,
+        # the bitmask walks below inline component_masks' walk and bits(),
         # in the same ascending order: this is the hot loop of the solver.
         # A forced step (one extension) skips the bound: its child's own
         # bound is no weaker
@@ -407,21 +400,25 @@ def longest_path(g: Graph, within=None) -> tuple[int, ...]:
     return tuple(best)
 
 
-def endpoint_cycle(g: Graph, path, within=None):
-    """Cycle made of the path segment from its first endpoint u to u's
-    farthest neighbor on the path, closed by that chord.
+def endpoint_cycle(g: Graph, path, mask: int | None = None):
+    """Cycle of G[mask] made of the path segment from its first endpoint u
+    to u's farthest neighbor on the path, closed by that chord.
 
     Requires ``path`` to be maximal at u (all of u's neighbors lie on it),
     which any longest path satisfies; a path that is not raises
-    NonMaximalPathError. Returns (vertices, edges); the cycle always
+    NonMaximalPathError. Returns (vertex mask, edges); the cycle always
     contains u and all of u's neighbors. Returns None when u has fewer than
-    two neighbors. Vertices of ``path`` or ``within`` outside 0..n-1 raise
-    ValueError, and so does a ``path`` that is empty, repeats a vertex,
-    leaves ``within`` or steps between non-adjacent vertices.
+    two neighbors. A vertex of ``path`` outside 0..n-1 raises ValueError,
+    and so does a ``path`` that is empty, repeats a vertex, leaves ``mask``
+    or steps between non-adjacent vertices.
     """
-    mask = within_mask(g, within)
+    mask = vertex_mask(g, mask)
     path = tuple(path)
-    path_mask = within_mask(g, path)  # range check before any adj_bits read
+    path_mask = 0
+    for v in path:  # range check before any adj_bits read
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+        path_mask |= 1 << v
     if (not path or path_mask.bit_count() != len(path) or path_mask & ~mask
             or any(not g.adj_bits[v] >> w & 1 for v, w in zip(path, path[1:]))):
         raise ValueError(f"{path} is not a path of the graph")
@@ -429,19 +426,10 @@ def endpoint_cycle(g: Graph, path, within=None):
     nbrs = g.adj_bits[u] & mask
     if nbrs.bit_count() < 2:
         return None
-    pos = {v: i for i, v in enumerate(path)}
-    if not all(w in pos for w in bits(nbrs)):
+    if nbrs & ~path_mask:
         raise NonMaximalPathError("path is not maximal at its endpoint")
-    far = max(pos[w] for w in bits(nbrs))
+    far = max(i for i, v in enumerate(path) if nbrs >> v & 1)
     cyc = path[: far + 1]
     edges = tuple(norm_edge(cyc[i], cyc[i + 1]) for i in range(len(cyc) - 1))
     edges += (norm_edge(u, cyc[-1]),)
-    return frozenset(cyc), edges
-
-
-def connected_components(g: Graph, within=None) -> list[frozenset[int]]:
-    """Partition of ``within`` (default: all vertices) into maximal connected
-    sets of the induced subgraph, ordered by smallest member. Vertices
-    outside 0..n-1 raise ValueError."""
-    mask = within_mask(g, within)
-    return [frozenset(bits(comp)) for comp in component_masks(g.adj_bits, mask)]
+    return sum(1 << v for v in cyc), edges

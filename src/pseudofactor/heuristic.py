@@ -15,15 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .factor import ComponentClass, FactorComponent, PseudoFactor
-from .graph import (
-    Edge,
-    Graph,
-    bits,
-    component_masks,
-    endpoint_cycle,
-    norm_edge,
-    within_mask,
-)
+from .graph import Edge, Graph, bits, component_masks, endpoint_cycle, norm_edge, vertex_mask
 from .memo import SolveMemo
 
 #: the improvement loop's safety net, read at each call
@@ -89,12 +81,12 @@ def _make_state(g: Graph, f_edges, memo: SolveMemo) -> SearchState:
     return SearchState(f_edges, f_mask, d, objective)
 
 
-def _either_end_cycle(g: Graph, path, within=None):
-    """``endpoint_cycle`` at the path's first endpoint, else at its last;
-    ``within`` is read twice, so it must not be an iterator."""
-    cyc = endpoint_cycle(g, path, within=within)
+def _either_end_cycle(g: Graph, path, mask: int | None = None):
+    """``endpoint_cycle`` in G[mask] at the path's first endpoint, else at
+    its last."""
+    cyc = endpoint_cycle(g, path, mask)
     if cyc is None:
-        cyc = endpoint_cycle(g, path[::-1], within=within)
+        cyc = endpoint_cycle(g, path[::-1], mask)
     return cyc
 
 
@@ -150,7 +142,7 @@ def _cycle_within(g: Graph, d: int, memo: SolveMemo):
     when G[d] is a forest."""
     if d.bit_count() < 3:
         return None
-    cyc = _either_end_cycle(g, memo.path(d), tuple(bits(d)))
+    cyc = _either_end_cycle(g, memo.path(d), d)
     if cyc is not None:
         return cyc[1]
 
@@ -335,9 +327,9 @@ def improve(state: SearchState, g: Graph, b: int,
 # remainder cover
 
 
-def posa_cover(g: Graph, within, memo: SolveMemo | None = None) -> list[FactorComponent]:
-    """Vertex-disjoint cycles, edges and vertices partitioning ``within``, as
-    ``LARGE``, ``EDGE`` and ``VERTEX`` components.
+def posa_cover(g: Graph, mask: int, memo: SolveMemo | None = None) -> list[FactorComponent]:
+    """Vertex-disjoint cycles, edges and vertices partitioning the vertex
+    mask ``mask``, as ``LARGE``, ``EDGE`` and ``VERTEX`` components.
 
     Repeatedly takes a longest path of the remainder, from ``memo.path``:
     the endpoint cycle when an endpoint has degree >= 2 there, otherwise the
@@ -346,22 +338,24 @@ def posa_cover(g: Graph, within, memo: SolveMemo | None = None) -> list[FactorCo
     never exceeds the independence number of the induced subgraph.
     """
     memo = SolveMemo.of(g, memo)
-    remaining = within_mask(g, within)
+    remaining = vertex_mask(g, mask)
     pieces: list[FactorComponent] = []
     while remaining:
         path = memo.path(remaining)
-        cyc = _either_end_cycle(g, path, tuple(bits(remaining)))
+        cyc = _either_end_cycle(g, path, remaining)
         if cyc is not None:
-            verts, edges = cyc
-            piece = FactorComponent(tuple(sorted(verts)), tuple(sorted(edges)),
+            piece_mask, edges = cyc
+            piece = FactorComponent(tuple(bits(piece_mask)), tuple(sorted(edges)),
                                     ComponentClass.LARGE)
         elif len(path) >= 2:
             e = norm_edge(path[-2], path[-1])
+            piece_mask = 1 << e[0] | 1 << e[1]
             piece = FactorComponent(e, (e,), ComponentClass.EDGE)
         else:
+            piece_mask = 1 << path[0]
             piece = FactorComponent((path[0],), (), ComponentClass.VERTEX)
         pieces.append(piece)
-        remaining ^= within_mask(g, piece.vertices)
+        remaining ^= piece_mask
     return pieces
 
 
@@ -387,7 +381,7 @@ def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     key = g.full_mask ^ final.f_mask
     pieces = memo.covers.get(key)
     if pieces is None:
-        pieces = tuple(posa_cover(g, bits(key), memo))
+        pieces = tuple(posa_cover(g, key, memo))
         memo.covers[key] = pieces
     edges = set(final.f_edges)
     for piece in pieces:

@@ -9,7 +9,7 @@ solver goes through ``SolveMemo.path``.
 from __future__ import annotations
 
 from .factor import FactorComponent
-from .graph import Graph, bits, independence_number, longest_path
+from .graph import Graph, independence_number, longest_path
 
 
 class SolveMemo:
@@ -44,7 +44,7 @@ class SolveMemo:
         """``longest_path`` of G[mask], mask nonempty, searched once per mask."""
         val = self.paths.get(mask)
         if val is None:
-            val = longest_path(self.g, within=bits(mask))
+            val = longest_path(self.g, mask)
             self.paths[mask] = val
         return val
 
@@ -52,6 +52,6 @@ class SolveMemo:
         """alpha(G[mask]) of a vertex mask, searched once per mask."""
         val = self.alphas.get(mask)
         if val is None:
-            val = independence_number(self.g, within=bits(mask))
+            val = independence_number(self.g, mask)
             self.alphas[mask] = val
         return val

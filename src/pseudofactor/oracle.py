@@ -128,7 +128,7 @@ def min_small_components_exact(g: Graph, b: int, memo: SolveMemo | None = None) 
     nu, groups = memo.scan
 
     for large in _walk(nu, groups, g.full_mask):
-        chosen = spanning_in_range(g, bits(large), b) if large else ()
+        chosen = spanning_in_range(g, large, b) if large else ()
         if chosen is not None:
             break
 

@@ -47,6 +47,11 @@ def neighbors(g: Graph) -> list[frozenset[int]]:
     return [frozenset(s) for s in neigh]
 
 
+def mask_of(vertices) -> int:
+    """The int bitmask of a vertex collection, the form the package takes."""
+    return sum(1 << v for v in set(vertices))
+
+
 def brute_force_alpha(g: Graph, within=None) -> int:
     """Maximum independent set size (inside ``within`` if given) by scanning
     all 2^n subsets."""

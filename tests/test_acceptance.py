@@ -175,7 +175,7 @@ def test_criterion_8_cover_never_exceeds_alpha(random_corpus, midsize_corpus):
     """The cycle/edge/vertex cover uses at most alpha pieces."""
     checked = 0
     for _, g in list(random_corpus) + list(midsize_corpus):
-        pieces = posa_cover(g, range(g.n))
+        pieces = posa_cover(g, g.full_mask)
         assert len(pieces) <= independence_number(g)
         covered = sorted(v for piece in pieces for v in piece.vertices)
         assert covered == list(range(g.n))

@@ -144,7 +144,7 @@ def test_solve_internal_error(capsys, monkeypatch):
 
 def test_solve_non_maximal_path_is_internal(capsys, monkeypatch):
     # the seed path misses vertex 4, a neighbour of its endpoint 0 on C5
-    monkeypatch.setattr(memo_module, "longest_path", lambda g, within=None: (0, 1, 2))
+    monkeypatch.setattr(memo_module, "longest_path", lambda g, mask=None: (0, 1, 2))
     assert main(["solve", "--family", "cycle n=5", "-b", "4", "--mode", "heuristic"]) == 5
     err = capsys.readouterr().err
     assert "internal error:" in err and "not maximal" in err
@@ -209,6 +209,26 @@ def test_generate_keeps_manifest_order_past_999_specs(tmp_path, capsys):
     names = [name for name, _ in cli._load_items(str(out))]
     assert [name.split("_", 1)[1].removesuffix(".edges") for name in names] == expected
     assert names[0].startswith("0000_") and names[-1].startswith("1000_")
+
+
+def test_generate_refuses_a_directory_holding_graphs(tmp_path, capsys):
+    # a second run into the same directory would leave its graphs mixed
+    # with the first run's, and verify would read both
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    first.write_text("cycle n=5\ncycle n=6\ncycle n=7\n")
+    second.write_text("path n=4\ncomplete n=4\n")
+    out = tmp_path / "g"
+    assert main(["generate", str(first), "-o", str(out)]) == 0
+    before = {f.name: f.read_text() for f in out.iterdir()}
+    assert len(before) == 3
+    capsys.readouterr()
+    assert main(["generate", str(second), "-o", str(out)]) == 2
+    assert "already holds graph files" in capsys.readouterr().err
+    assert {f.name: f.read_text() for f in out.iterdir()} == before
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["generate", str(second), "-o", str(empty)]) == 0
+    assert len(list(empty.iterdir())) == 2
 
 
 def test_verify_manifest(tmp_path, capsys):

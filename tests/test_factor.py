@@ -175,34 +175,34 @@ class TestIs2bSubgraph:
 class TestSpanning:
     def test_cycle_spans_itself(self):
         g = cycle_graph(5)
-        assert spanning_in_range(g, range(5), 4) is not None
+        assert spanning_in_range(g, 0b11111, 4) is not None
 
     def test_star_leaves_cannot_reach_two(self):
         star = Graph.build(4, [(0, 1), (0, 2), (0, 3)])
-        assert spanning_in_range(star, range(4), 4) is None
+        assert spanning_in_range(star, star.full_mask, 4) is None
 
     def test_hub_join_three_edges_infeasible(self):
         g = k1_join_3k2()
-        assert spanning_in_range(g, range(7), 4) is None
+        assert spanning_in_range(g, g.full_mask, 4) is None
         assert not brute_force_feasible(g, range(7), 4)
 
     def test_small_sets_false(self):
         g = cycle_graph(5)
-        assert spanning_in_range(g, {0, 1}, 4) is None
-        assert spanning_in_range(g, {0}, 4) is None
+        assert spanning_in_range(g, 0b11, 4) is None
+        assert spanning_in_range(g, 0b1, 4) is None
 
     def test_witness_edges_satisfy_window(self):
         g = complete_graph(6)
-        chosen = spanning_in_range(g, range(6), 3)
+        chosen = spanning_in_range(g, g.full_mask, 3)
         assert chosen is not None
         assert is_2b_subgraph(g, range(6), chosen, 3)
 
     def test_capacity(self):
         over = SPANNING_LIMIT + 1
         with pytest.raises(CapacityError, match=f"limited to {SPANNING_LIMIT} vertices, got {over}"):
-            spanning_in_range(complete_graph(over), range(over), 3)
-        g, s = complete_graph(SPANNING_LIMIT), range(SPANNING_LIMIT)
-        assert is_2b_subgraph(g, s, spanning_in_range(g, s, 3), 3)
+            spanning_in_range(complete_graph(over), (1 << over) - 1, 3)
+        g = complete_graph(SPANNING_LIMIT)
+        assert is_2b_subgraph(g, range(g.n), spanning_in_range(g, g.full_mask, 3), 3)
 
     @given(small_graphs(min_n=3, max_n=8))
     @settings(max_examples=60, deadline=None)
@@ -211,7 +211,7 @@ class TestSpanning:
         # the early return that keeps every edge
         for b in (2, 3):
             if len(g.edges) <= 18 and max(map(len, neighbors(g))) > b:
-                chosen = spanning_in_range(g, range(g.n), b)
+                chosen = spanning_in_range(g, g.full_mask, b)
                 assert (chosen is not None) == brute_force_feasible(g, range(g.n), b)
                 if chosen is not None:
                     assert is_2b_subgraph(g, range(g.n), chosen, b)
@@ -219,7 +219,7 @@ class TestSpanning:
     @given(small_graphs(min_n=3, max_n=7))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_b(self, g):
-        feasible = [spanning_in_range(g, range(g.n), b) is not None for b in (2, 3, 4, 5)]
+        feasible = [spanning_in_range(g, g.full_mask, b) is not None for b in (2, 3, 4, 5)]
         for earlier, later in itertools.pairwise(feasible):
             assert not earlier or later
 
@@ -228,7 +228,7 @@ class TestSpanning:
             g = gnp(7, 0.5, seed)
             degs = [len(s) for s in neighbors(g)]
             if min(degs) >= 2:
-                assert spanning_in_range(g, range(g.n), max(degs)) is not None
+                assert spanning_in_range(g, g.full_mask, max(degs)) is not None
 
 
 class TestSerialization:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_alpha, neighbors, petersen, small_graphs
+from conftest import brute_force_alpha, mask_of, neighbors, petersen, small_graphs
 from pseudofactor.errors import CapacityError, GraphParseError, NonMaximalPathError
 from pseudofactor.factor import spanning_in_range
 from pseudofactor.generators import complete_graph, cycle_graph, gnp, path_graph
@@ -15,8 +15,8 @@ from pseudofactor.graph import (
     INDEPENDENCE_LIMIT,
     LONGEST_PATH_LIMIT,
     Graph,
+    bits,
     component_masks,
-    connected_components,
     endpoint_cycle,
     independence_number,
     load_dimacs,
@@ -27,6 +27,7 @@ from pseudofactor.graph import (
     min_degree,
     norm_edge,
     to_edge_list,
+    vertex_mask,
 )
 from pseudofactor.heuristic import posa_cover
 
@@ -121,6 +122,15 @@ class TestParsing:
         assert load_graph_text("p edge 2 1\ne 1 2").edges == ((0, 1),)
         assert load_graph_text("n 2\n0 1").edges == ((0, 1),)
 
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\x85", "\u2028"], ids=["lf", "cr", "nel", "ls"])
+    def test_comment_line_breaks_round_trip(self, brk):
+        # the parser splits lines with str.splitlines, so a comment holding
+        # any of its breaks must come out as several comment lines
+        g = cycle_graph(4)
+        text = to_edge_list(g, comments=(f"instance: a{brk}b",))
+        assert text.startswith("# instance: a\n# b\nn 4\n")
+        assert load_edge_list(text).edges == g.edges
+
     def test_edge_list_round_trip(self):
         g = petersen()
         assert load_edge_list(to_edge_list(g, comments=("petersen",))).edges == g.edges
@@ -195,7 +205,7 @@ class TestIndependence:
 
     def test_witness_is_maximum_independent(self):
         g = petersen()
-        witness = maximum_independent_set(g)
+        witness = frozenset(bits(maximum_independent_set(g)))
         assert len(witness) == 4
         nbrs = neighbors(g)
         for u in witness:
@@ -203,8 +213,8 @@ class TestIndependence:
 
     def test_within(self):
         g = cycle_graph(5)
-        assert independence_number(g, within={0, 1, 2}) == 2
-        assert independence_number(g, within=()) == 0
+        assert independence_number(g, 0b111) == 2
+        assert independence_number(g, 0) == 0
 
     def test_capacity(self):
         over = INDEPENDENCE_LIMIT + 1
@@ -290,11 +300,11 @@ def _reference_witness(g, within, alpha):
 
 def _assert_pinned_witness(g, within):
     within = frozenset(within)
-    witness = maximum_independent_set(g, within=within)
+    witness = frozenset(bits(maximum_independent_set(g, mask_of(within))))
     alpha = brute_force_alpha(g, within)
     assert witness <= within, g.edges
     assert _is_independent(g, witness), g.edges
-    assert len(witness) == alpha == independence_number(g, within=within), g.edges
+    assert len(witness) == alpha == independence_number(g, mask_of(within)), g.edges
     assert witness == _reference_witness(g, within, alpha), (g.edges, sorted(within))
 
 
@@ -379,6 +389,10 @@ def chain_graphs(draw):
     return Graph.build(n, [(perm[u], perm[v]) for u, v in edges])
 
 
+def _mask_or_none(within):
+    return None if within is None else mask_of(within)
+
+
 class TestLongestPath:
     def test_c5_hamilton(self):
         path = longest_path(cycle_graph(5))
@@ -421,7 +435,7 @@ class TestLongestPath:
     @settings(max_examples=80, deadline=None)
     def test_lexicographically_smallest_longest_path(self, g, data):
         within = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
-        assert longest_path(g, within=within) == _brute_force_longest_path(g, within)
+        assert longest_path(g, mask_of(within)) == _brute_force_longest_path(g, within)
 
     @given(st.integers(8, 16), st.floats(0.1, 0.3), st.integers(0, 2**32), st.data())
     @settings(max_examples=40, deadline=None)
@@ -429,7 +443,7 @@ class TestLongestPath:
         g = gnp(n, p, seed)
         within = data.draw(st.one_of(st.none(), st.sets(st.integers(0, n - 1), min_size=1)))
         pool = range(n) if within is None else within
-        assert longest_path(g, within=within) == _reference_longest_path(g, pool)
+        assert longest_path(g, _mask_or_none(within)) == _reference_longest_path(g, pool)
 
     @given(chain_graphs(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -437,7 +451,7 @@ class TestLongestPath:
         # long forced stretches, where the search skips its bound
         within = data.draw(st.one_of(st.none(), st.sets(st.integers(0, g.n - 1), min_size=1)))
         pool = range(g.n) if within is None else within
-        assert longest_path(g, within=within) == _reference_longest_path(g, pool)
+        assert longest_path(g, _mask_or_none(within)) == _reference_longest_path(g, pool)
 
     def test_lexicographically_smallest_on_every_small_graph(self):
         # random graphs rarely tie late in the search; all 1099 labelled
@@ -450,7 +464,7 @@ class TestEndpointCycle:
     def test_c5_gives_whole_cycle(self):
         g = cycle_graph(5)
         verts, edges = endpoint_cycle(g, longest_path(g))
-        assert verts == frozenset(range(5))
+        assert verts == 0b11111
         assert len(edges) == 5
 
     def test_k4_contains_closed_neighborhood(self):
@@ -458,8 +472,8 @@ class TestEndpointCycle:
         path = longest_path(g)
         verts, edges = endpoint_cycle(g, path)
         u = path[0]
-        assert neighbors(g)[u] | {u} <= verts
-        assert len(verts) == len(edges)
+        assert neighbors(g)[u] | {u} <= set(bits(verts))
+        assert verts.bit_count() == len(edges)
 
     def test_degree_one_endpoint_signals_no_cycle(self):
         g = complete_graph(2)
@@ -477,16 +491,16 @@ class TestEndpointCycle:
         with pytest.raises(ValueError, match=rf"vertex {vertex} outside 0\.\.4"):
             endpoint_cycle(cycle_graph(5), path)
 
-    @pytest.mark.parametrize("path, within", [
+    @pytest.mark.parametrize("path, mask", [
         ((), None), ((0, 1, 0, 4), None), ((0, 2, 4, 1, 3), None),
-        ((0, 1, 2, 3, 4), (0, 1, 4)),
+        ((0, 1, 2, 3, 4), 0b10011),
     ], ids=[f"path{i}" for i in range(4)])
-    def test_non_paths_rejected(self, path, within):
+    def test_non_paths_rejected(self, path, mask):
         # empty, a repeated vertex, non-adjacent steps, vertices outside
-        # ``within``: a plain ValueError, not the solver's internal
+        # ``mask``: a plain ValueError, not the solver's internal
         # NonMaximalPathError
         with pytest.raises(ValueError, match="is not a path of the graph") as info:
-            endpoint_cycle(cycle_graph(5), path, within=within)
+            endpoint_cycle(cycle_graph(5), path, mask)
         assert type(info.value) is ValueError
 
     @given(small_graphs(min_n=2))
@@ -498,27 +512,28 @@ class TestEndpointCycle:
             return
         verts, edges = cyc
         u = path[0]
-        assert neighbors(g)[u] | {u} <= verts
-        rest = set(range(g.n)) - verts
-        assert independence_number(g, within=rest) < independence_number(g)
+        assert neighbors(g)[u] | {u} <= set(bits(verts))
+        rest = set(range(g.n)) - set(bits(verts))
+        assert independence_number(g, mask_of(rest)) < independence_number(g)
 
 
 class TestConnectedComponents:
     def test_whole_cycle(self):
-        assert connected_components(cycle_graph(5)) == [frozenset(range(5))]
+        g = cycle_graph(5)
+        assert list(component_masks(g.adj_bits, g.full_mask)) == [0b11111]
 
     def test_restricted(self):
-        comps = connected_components(cycle_graph(5), within={0, 1, 3})
-        assert comps == [frozenset({0, 1}), frozenset({3})]
+        comps = component_masks(cycle_graph(5).adj_bits, mask_of({0, 1, 3}))
+        assert list(comps) == [0b00011, 0b01000]
 
     def test_empty(self):
-        assert connected_components(cycle_graph(5), within=()) == []
+        assert list(component_masks(cycle_graph(5).adj_bits, 0)) == []
 
     @given(small_graphs(), st.data())
     @settings(max_examples=60)
     def test_partition_properties(self, g, data):
         within = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
-        comps = connected_components(g, within=within)
+        comps = [frozenset(bits(c)) for c in component_masks(g.adj_bits, mask_of(within))]
         nbrs = neighbors(g)
         seen = set()
         for comp in comps:
@@ -556,33 +571,58 @@ class TestConnectedComponents:
 
 
 class TestWithinRange:
-    """Every entry point that takes a vertex set refuses a vertex outside
-    0..n-1 with the wording Graph.build uses for edges."""
+    """Every entry point that takes a vertex set takes an int mask: one with
+    a bit at n or above, or a negative one, raises ValueError, and anything
+    but an int raises TypeError."""
 
     ENTRY_POINTS = {
-        "longest_path": lambda g, w: longest_path(g, within=w),
-        "maximum_independent_set": lambda g, w: maximum_independent_set(g, within=w),
-        "independence_number": lambda g, w: independence_number(g, within=w),
-        "connected_components": lambda g, w: connected_components(g, within=w),
-        "endpoint_cycle": lambda g, w: endpoint_cycle(g, tuple(range(g.n)), within=w),
+        "vertex_mask": vertex_mask,
+        "longest_path": longest_path,
+        "maximum_independent_set": maximum_independent_set,
+        "independence_number": independence_number,
+        "endpoint_cycle": lambda g, m: endpoint_cycle(g, tuple(range(g.n)), m),
         "posa_cover": posa_cover,
-        "spanning_in_range": lambda g, w: spanning_in_range(g, w, 4),
+        "spanning_in_range": lambda g, m: spanning_in_range(g, m, 4),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize("n, bad", [(4, 4), (4, 7), (4, -1), (0, 0)])
     def test_out_of_range_vertex(self, entry, n, bad):
-        g, within = (cycle_graph(n), [0, 1, bad]) if n else (Graph.build(0, []), [bad])
-        with pytest.raises(ValueError, match=rf"^vertex {bad} outside 0\.\.{n - 1}$"):
-            self.ENTRY_POINTS[entry](g, within)
+        # a bit at n, a bit at n + 3, the mask -1, a bit at n of the empty graph
+        g = cycle_graph(n) if n else Graph.build(0, [])
+        mask = -1 if bad < 0 else g.full_mask & 0b11 | 1 << bad
+        with pytest.raises(ValueError, match=rf"^vertex mask has a bit outside 0\.\.{n - 1}$"):
+            self.ENTRY_POINTS[entry](g, mask)
 
     def test_range_checked_before_the_shift(self):
-        # 1 << 10**8 alone would take 12 MB; the refusal must come first
+        # the check reads bit_length alone: a 125 kB mask is neither shifted
+        # nor copied on the way to the refusal
+        g = cycle_graph(4)
+        huge = 1 << 10**6
+        tracemalloc.start()
+        try:
+            for entry in self.ENTRY_POINTS.values():
+                with pytest.raises(ValueError, match=r"^vertex mask has a bit outside 0\.\.3$"):
+                    entry(g, huge)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_vertex_set_is_not_a_mask(self, entry):
+        # a set is refused, never read as something else
+        with pytest.raises(TypeError, match="^a vertex set is an int bitmask, not set$"):
+            self.ENTRY_POINTS[entry](cycle_graph(4), {0, 1})
+
+    def test_path_range_checked_before_the_shift(self):
+        # endpoint_cycle's path is a vertex tuple: 1 << 10**8 alone would
+        # take 12 MB, so each vertex is refused before its bit is set
         g = cycle_graph(4)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"^vertex 100000000 outside 0\.\.3$"):
-                longest_path(g, within=[0, 10**8])
+                endpoint_cycle(g, (0, 10**8))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

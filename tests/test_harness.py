@@ -59,17 +59,15 @@ def fake_pool(sizes: list):
 
 def spy_full_graph(monkeypatch, name: str) -> list[Graph]:
     """Record the graph of every call of ``graph.<name>`` on the whole vertex
-    set, with or without ``within``, through each module that binds the
+    set, with or without its mask, through each module that binds the
     function."""
     original = getattr(graph_module, name)
     calls = []
 
-    def spy(g, within=None):
-        if within is not None:
-            within = frozenset(within)
-        if within is None or within == frozenset(range(g.n)):
+    def spy(g, mask=None):
+        if mask is None or mask == g.full_mask:
             calls.append(g)
-        return original(g, within=within)
+        return original(g, mask)
 
     for module in (graph_module, memo_module, harness, heuristic, cli):
         if getattr(module, name, None) is original:
@@ -272,10 +270,9 @@ class TestRunCorpus:
         original = heuristic.posa_cover
         calls = []
 
-        def spy(g, within, memo=None):
-            within = tuple(within)  # solve passes a generator
-            calls.append((id(g), frozenset(within)))
-            return original(g, within, memo)
+        def spy(g, mask, memo=None):
+            calls.append((id(g), mask))
+            return original(g, mask, memo)
 
         monkeypatch.setattr(heuristic, "posa_cover", spy)
         expected = [

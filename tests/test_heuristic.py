@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import neighbors, small_graphs
+from conftest import mask_of, neighbors, small_graphs
 import pseudofactor.memo as memo_module
 from pseudofactor import heuristic
 from pseudofactor.factor import ComponentClass, is_2b_subgraph, validate_pseudo_factor
@@ -19,7 +19,7 @@ from pseudofactor.generators import (
     path_graph,
     pendant_sharpness,
 )
-from pseudofactor.graph import Graph, bits, independence_number, longest_path, within_mask
+from pseudofactor.graph import Graph, bits, independence_number, longest_path, vertex_mask
 from pseudofactor.heuristic import (
     MOVE_ORDER,
     SolveMemo,
@@ -118,7 +118,7 @@ class TestSearchState:
             else:
                 assert not d
             assert state.objective == (
-                independence_number(g, within=rest), len(d), len(f_verts))
+                independence_number(g, mask_of(rest)), len(d), len(f_verts))
 
 
 class TestEnumerateMoves:
@@ -314,21 +314,21 @@ class TestImprove:
 class TestPosaCover:
     def test_cycle_covered_by_one_piece(self):
         g = cycle_graph(5)
-        pieces = posa_cover(g, range(5))
+        pieces = posa_cover(g, g.full_mask)
         assert len(pieces) == 1
         assert pieces[0].kind is ComponentClass.LARGE
 
     def test_path_on_three(self):
-        pieces = posa_cover(path_graph(3), range(3))
+        pieces = posa_cover(path_graph(3), 0b111)
         assert len(pieces) <= 2
 
     def test_empty(self):
-        assert posa_cover(cycle_graph(5), ()) == []
+        assert posa_cover(cycle_graph(5), 0) == []
 
     @given(small_graphs())
     @settings(max_examples=50, deadline=None)
     def test_piece_count_at_most_alpha(self, g):
-        pieces = posa_cover(g, range(g.n))
+        pieces = posa_cover(g, g.full_mask)
         if g.n:
             assert len(pieces) <= independence_number(g)
         covered = [v for piece in pieces for v in piece.vertices]
@@ -337,11 +337,11 @@ class TestPosaCover:
     @given(small_graphs(), st.data())
     @settings(max_examples=50, deadline=None)
     def test_warm_memo_changes_nothing(self, g, data):
-        within = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+        mask = mask_of(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
         memo = SolveMemo(g)
         for b in range(2, 7):
             solve(g, b, memo=memo)
-        assert posa_cover(g, within, memo) == posa_cover(g, within)
+        assert posa_cover(g, mask, memo) == posa_cover(g, mask)
 
 
 class TestSolve:
@@ -410,10 +410,9 @@ class TestSolve:
         # memo, so b rows sharing it never search one vertex mask twice
         masks = []
 
-        def counting(g, within=None):
-            within = None if within is None else tuple(within)
-            masks.append(within_mask(g, within))
-            return longest_path(g, within=within)
+        def counting(g, mask=None):
+            masks.append(vertex_mask(g, mask))
+            return longest_path(g, mask)
 
         for module in (memo_module, heuristic):
             if getattr(module, "longest_path", None) is longest_path:
@@ -445,3 +444,41 @@ def test_only_the_memo_calls_longest_path():
                 if name == "longest_path":
                     callers.add(path.name)
     assert callers == {"memo.py"}
+
+
+#: the kernels that take a vertex set, as an int mask
+MASK_TAKERS = {"longest_path", "independence_number", "maximum_independent_set",
+               "endpoint_cycle", "spanning_in_range", "posa_cover", "_either_end_cycle"}
+
+
+def _is_bits_call(node) -> bool:
+    """``bits(...)``, bare or wrapped in tuple/list/set/sorted."""
+    while isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id == "bits":
+            return True
+        if node.func.id not in ("tuple", "list", "set", "sorted") or len(node.args) != 1:
+            return False
+        node = node.args[0]
+    return False
+
+
+def test_vertex_sets_cross_as_masks():
+    # one format at the seam: no caller unpacks a mask into vertices for a
+    # kernel that would pack them again, and the vertex-iterable checker
+    # within_mask is gone
+    unpacked, within_mask_refs = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                args = list(node.args) + [kw.value for kw in node.keywords]
+                if name in MASK_TAKERS and any(_is_bits_call(a) for a in args):
+                    unpacked.append((path.name, node.lineno, name))
+            elif isinstance(node, ast.FunctionDef) and node.name == "within_mask":
+                within_mask_refs.append((path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                if any(alias.name == "within_mask" for alias in node.names):
+                    within_mask_refs.append((path.name, node.lineno))
+    assert unpacked == []
+    assert within_mask_refs == []

@@ -200,10 +200,9 @@ class TestCandidateOrder:
         calls = []
         real = oracle.spanning_in_range
 
-        def recorder(g, s, b):
-            verts = frozenset(s)
-            result = real(g, verts, b)
-            calls.append((verts, result))
+        def recorder(g, mask, b):
+            result = real(g, mask, b)
+            calls.append((frozenset(bits(mask)), result))
             return result
 
         monkeypatch.setattr(oracle, "spanning_in_range", recorder)
@@ -258,13 +257,12 @@ class TestWalkOrder:
         calls: list[int] = []
         real = oracle.spanning_in_range
 
-        def recorder(g, s, b):
-            verts = list(s)  # the walk may pass a one-shot iterator
-            calls.append(sum(1 << v for v in verts))
-            return real(g, verts, b)
+        def recorder(g, mask, b):
+            calls.append(mask)
+            return real(g, mask, b)
 
-        def refuse_all(g, s, b):
-            calls.append(sum(1 << v for v in s))
+        def refuse_all(g, mask, b):
+            calls.append(mask)
             return None
 
         memo = SolveMemo(g)
