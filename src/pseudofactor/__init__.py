@@ -40,7 +40,6 @@ from .graph import (
     load_edge_list,
     load_graph_text,
     longest_path,
-    maximum_independent_set,
     min_degree,
     read_graph_file,
     to_edge_list,

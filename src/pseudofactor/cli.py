@@ -56,6 +56,8 @@ def _parse_b_list(text: str) -> list[int]:
         raise ParseError(f"invalid b list {text!r}") from None
     if not values or any(b < 2 for b in values):
         raise ParseError("every b must be an integer >= 2")
+    if len(set(values)) != len(values):
+        raise ParseError(f"repeated b value in {text!r}")
     return values
 
 
@@ -115,6 +117,8 @@ def _load_single_graph(args) -> tuple[str, Graph]:
 
 
 def _cmd_solve(args) -> int:
+    if args.b < 2:
+        raise ParseError("b must be an integer >= 2")
     instance, g = _load_single_graph(args)
     print(f"instance: {instance}")
     print(f"n={g.n} m={len(g.edges)}")

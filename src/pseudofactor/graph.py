@@ -212,8 +212,13 @@ def load_graph_text(text: str) -> Graph:
 
 
 def read_graph_file(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_graph_text(fh.read())
+    """Parse the graph file at ``path``; a parse error, or text that is not
+    UTF-8, raises GraphParseError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_graph_text(fh.read())
+    except (GraphParseError, UnicodeDecodeError) as exc:
+        raise GraphParseError(f"{path}: {exc}") from None
 
 
 def to_edge_list(g: Graph, comments: tuple[str, ...] = ()) -> str:
@@ -236,9 +241,10 @@ def min_degree(g: Graph) -> int:
 
 
 def _greedy_independent(adj_bits, mask: int) -> int:
-    """Independent set found by repeatedly taking a minimum-degree vertex of
-    the remaining induced subgraph, the lowest-index one on ties."""
-    chosen = 0
+    """Size of the independent set found by repeatedly taking a
+    minimum-degree vertex of the remaining induced subgraph, the lowest-index
+    one on ties."""
+    size = 0
     remaining = mask
     while remaining:
         low_deg = remaining.bit_count()
@@ -250,21 +256,19 @@ def _greedy_independent(adj_bits, mask: int) -> int:
             if d < low_deg:
                 low_deg, v = d, u
             rest ^= low
-        chosen |= 1 << v
+        size += 1
         remaining &= ~(adj_bits[v] | (1 << v))
-    return chosen
+    return size
 
 
-def maximum_independent_set(g: Graph, mask: int | None = None) -> int:
-    """The mask of a maximum independent set of G[mask] (of g when None).
+def independence_number(g: Graph, mask: int | None = None) -> int:
+    """alpha(G[mask]) (of g when None).
 
     Exact branch and bound: branch on a highest-degree vertex of the
-    candidate set, the lowest-index one on ties (in, then out of the set),
-    prune with the trivial size bound, seed with the min-degree greedy set of
-    ``_greedy_independent``. ``best`` is only replaced by a strictly larger
-    set, so the returned set is the first maximum set in that branch order,
-    or the greedy set when it is already maximum. Guaranteed correct for every
-    instance it accepts; instances above INDEPENDENCE_LIMIT vertices raise
+    candidate set (in, then out of the set), prune with the trivial size
+    bound, seed with the min-degree greedy count of
+    ``_greedy_independent``. Guaranteed correct for every instance it
+    accepts; instances above INDEPENDENCE_LIMIT vertices raise
     CapacityError, and ``vertex_mask`` checks ``mask``.
     """
     mask = vertex_mask(g, mask)
@@ -273,15 +277,14 @@ def maximum_independent_set(g: Graph, mask: int | None = None) -> int:
             f"independence search limited to {INDEPENDENCE_LIMIT} vertices, got {mask.bit_count()}"
         )
     adj = g.adj_bits
-    best_set = _greedy_independent(adj, mask)
-    best = best_set.bit_count()
+    best = _greedy_independent(adj, mask)
 
-    def expand(cand: int, size: int, chosen: int):
-        nonlocal best, best_set
+    def expand(cand: int, size: int):
+        nonlocal best
         if size + cand.bit_count() <= best:
             return
         if not cand:
-            best, best_set = size, chosen
+            best = size
             return
         top = -1
         rest = cand
@@ -292,15 +295,11 @@ def maximum_independent_set(g: Graph, mask: int | None = None) -> int:
             if d > top:
                 top, v, bit = d, u, low
             rest ^= low
-        expand(cand & ~(adj[v] | bit), size + 1, chosen | bit)
-        expand(cand & ~bit, size, chosen)
+        expand(cand & ~(adj[v] | bit), size + 1)
+        expand(cand & ~bit, size)
 
-    expand(mask, 0, 0)
-    return best_set
-
-
-def independence_number(g: Graph, mask: int | None = None) -> int:
-    return maximum_independent_set(g, mask).bit_count()
+    expand(mask, 0)
+    return best
 
 
 def component_masks(adj_bits, mask: int):

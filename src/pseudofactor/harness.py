@@ -102,7 +102,7 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if g.n < 1:
-        raise ValueError("cannot verify an empty graph")
+        raise ValueError(f"cannot verify an empty graph (instance {instance!r})")
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
     memo = SolveMemo.of(g, memo)

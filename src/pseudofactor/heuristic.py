@@ -4,9 +4,11 @@ then cover whatever is left by cycles, edges and vertices.
 
 The objective is (alpha(G - F), |D|, |V(F)|), minimized lexicographically,
 where D is a smallest component of G - F. Moves are accepted greedily at the
-first strict improvement, so the loop always terminates; a step budget is a
-safety net only. The final cover contributes at most alpha(G - F) pieces, so
-the assembled factor never has more than alpha(G) small components.
+first strict improvement, so the objective strictly decreases and the loop
+ends after at most (alpha(G)+1)(n+1)^2 steps. The seed, X4's cycle and every
+cover piece come from one rule, ``_first_piece``. The final cover contributes
+at most alpha(G - F) pieces, so the assembled factor never has more than
+alpha(G) small components.
 """
 
 from __future__ import annotations
@@ -17,9 +19,6 @@ from dataclasses import dataclass
 from .factor import ComponentClass, FactorComponent, PseudoFactor
 from .graph import Edge, Graph, bits, component_masks, endpoint_cycle, norm_edge, vertex_mask
 from .memo import SolveMemo
-
-#: the improvement loop's safety net, read at each call
-MAX_STEPS = 200
 
 #: move kinds, in the order they are tried (component-absorbing first,
 #: degree-shuffling next, deletion last)
@@ -52,7 +51,6 @@ class SearchState:
 class ImproveOutcome:
     state: SearchState
     steps: tuple[StepRecord, ...]
-    budget_exhausted: bool
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,6 @@ class HeuristicResult:
     factor: PseudoFactor
     steps: tuple[StepRecord, ...]
     fallback: bool
-    budget_exhausted: bool
 
     @property
     def small_count(self) -> int:
@@ -81,22 +78,33 @@ def _make_state(g: Graph, f_edges, memo: SolveMemo) -> SearchState:
     return SearchState(f_edges, f_mask, d, objective)
 
 
-def _either_end_cycle(g: Graph, path, mask: int | None = None):
-    """``endpoint_cycle`` in G[mask] at the path's first endpoint, else at
-    its last."""
-    cyc = endpoint_cycle(g, path, mask)
-    if cyc is None:
-        cyc = endpoint_cycle(g, path[::-1], mask)
-    return cyc
+def _first_piece(g: Graph, mask: int, memo: SolveMemo):
+    """(vertex mask, edges, kind) of the piece of the nonempty vertex mask
+    ``mask`` that the cover takes first. From the longest path
+    ``memo.path(mask)``: the endpoint cycle at its first end (``LARGE``),
+    else the one at its last end, else its last edge (``EDGE``), else its one
+    vertex (``VERTEX``). The piece holds the closed neighborhood in G[mask]
+    of the path end it is taken at. No ``FactorComponent`` is built: the
+    seed and X4 read only a cycle's edges."""
+    path = memo.path(mask)
+    cyc = endpoint_cycle(g, path, mask) or endpoint_cycle(g, path[::-1], mask)
+    if cyc is not None:
+        return cyc + (ComponentClass.LARGE,)
+    if len(path) >= 2:
+        e = norm_edge(path[-2], path[-1])
+        return 1 << e[0] | 1 << e[1], (e,), ComponentClass.EDGE
+    return 1 << path[0], (), ComponentClass.VERTEX
 
 
 def initial_subgraph(g: Graph, memo: SolveMemo | None = None) -> SearchState:
-    """Seed state: the cycle through a longest-path endpoint and its farthest
-    path neighbor, when some endpoint has degree >= 2; otherwise F is empty
-    and the caller degrades to the cover alone."""
+    """Seed state: G's first cover piece when it is a cycle (``LARGE``);
+    otherwise F is empty and the caller degrades to the cover alone."""
     memo = SolveMemo.of(g, memo)
-    cyc = _either_end_cycle(g, memo.path(g.full_mask)) if g.n else None
-    edges = cyc[1] if cyc is not None else ()
+    edges = ()
+    if g.n:
+        _, piece_edges, kind = _first_piece(g, g.full_mask, memo)
+        if kind is ComponentClass.LARGE:
+            edges = piece_edges
     return _make_state(g, edges, memo)
 
 
@@ -137,14 +145,14 @@ def _path_edges(path: list[int]) -> tuple[Edge, ...]:
 
 
 def _cycle_within(g: Graph, d: int, memo: SolveMemo):
-    """The edges of a cycle inside G[d], d a vertex mask: the longest-path
-    endpoint cycle when available, otherwise any cycle found by DFS. None
-    when G[d] is a forest."""
+    """The edges of a cycle inside G[d], d a vertex mask: D's first cover
+    piece when it is a cycle, otherwise any cycle found by DFS. None when
+    G[d] is a forest."""
     if d.bit_count() < 3:
         return None
-    cyc = _either_end_cycle(g, memo.path(d), d)
-    if cyc is not None:
-        return cyc[1]
+    _, edges, kind = _first_piece(g, d, memo)
+    if kind is ComponentClass.LARGE:
+        return edges
 
     # all longest-path endpoints have degree <= 1 in d; hunt any cycle by DFS
     done: set[int] = set()
@@ -301,15 +309,14 @@ def improve(state: SearchState, g: Graph, b: int,
 
     Each step evaluates the moves ``enumerate_moves`` returns, in order, and
     takes the first that improves the objective: one move, or at most one
-    X7 per maximal degree-2 segment of F. Returns once none improves, or
-    with the budget_exhausted flag set when MAX_STEPS steps run out first.
+    X7 per maximal degree-2 segment of F. Returns once G - F is empty or no
+    move improves. Each step strictly lowers the objective, which lies in
+    [0, alpha(G)] x [0, n] x [0, n], so there are at most
+    (alpha(G)+1)(n+1)^2 steps.
     """
     memo = SolveMemo.of(g, memo)
     steps: list[StepRecord] = []
-    exhausted = False
-    while len(steps) < MAX_STEPS:
-        if not state.d_mask:
-            break
+    while state.d_mask:
         for move in enumerate_moves(state, g, b, memo):
             candidate = apply_move(state, move, g, memo)
             if candidate.objective < state.objective:
@@ -318,9 +325,7 @@ def improve(state: SearchState, g: Graph, b: int,
                 break
         else:
             break  # no move improves
-    else:
-        exhausted = True
-    return ImproveOutcome(state, tuple(steps), exhausted)
+    return ImproveOutcome(state, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -331,30 +336,17 @@ def posa_cover(g: Graph, mask: int, memo: SolveMemo | None = None) -> list[Facto
     """Vertex-disjoint cycles, edges and vertices partitioning the vertex
     mask ``mask``, as ``LARGE``, ``EDGE`` and ``VERTEX`` components.
 
-    Repeatedly takes a longest path of the remainder, from ``memo.path``:
-    the endpoint cycle when an endpoint has degree >= 2 there, otherwise the
-    path's last edge, otherwise a singleton. Every extracted piece contains
-    the closed neighborhood of the examined endpoint, so the piece count
-    never exceeds the independence number of the induced subgraph.
+    Repeatedly takes the ``_first_piece`` of the remainder. Every piece
+    holds the closed neighborhood of a vertex of the remainder, so the
+    piece count never exceeds the independence number of the induced
+    subgraph.
     """
     memo = SolveMemo.of(g, memo)
     remaining = vertex_mask(g, mask)
     pieces: list[FactorComponent] = []
     while remaining:
-        path = memo.path(remaining)
-        cyc = _either_end_cycle(g, path, remaining)
-        if cyc is not None:
-            piece_mask, edges = cyc
-            piece = FactorComponent(tuple(bits(piece_mask)), tuple(sorted(edges)),
-                                    ComponentClass.LARGE)
-        elif len(path) >= 2:
-            e = norm_edge(path[-2], path[-1])
-            piece_mask = 1 << e[0] | 1 << e[1]
-            piece = FactorComponent(e, (e,), ComponentClass.EDGE)
-        else:
-            piece_mask = 1 << path[0]
-            piece = FactorComponent((path[0],), (), ComponentClass.VERTEX)
-        pieces.append(piece)
+        piece_mask, edges, kind = _first_piece(g, remaining, memo)
+        pieces.append(FactorComponent(tuple(bits(piece_mask)), tuple(sorted(edges)), kind))
         remaining ^= piece_mask
     return pieces
 
@@ -373,10 +365,7 @@ def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     memo = SolveMemo.of(g, memo)
     state = initial_subgraph(g, memo)
     fallback = not state.f_edges
-    if fallback:
-        outcome = ImproveOutcome(state, (), False)
-    else:
-        outcome = improve(state, g, b, memo)
+    outcome = ImproveOutcome(state, ()) if fallback else improve(state, g, b, memo)
     final = outcome.state
     key = g.full_mask ^ final.f_mask
     pieces = memo.covers.get(key)
@@ -387,9 +376,4 @@ def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     for piece in pieces:
         edges.update(piece.edges)
     factor = PseudoFactor.build(g, edges, b)
-    return HeuristicResult(
-        factor=factor,
-        steps=outcome.steps,
-        fallback=fallback,
-        budget_exhausted=outcome.budget_exhausted,
-    )
+    return HeuristicResult(factor=factor, steps=outcome.steps, fallback=fallback)

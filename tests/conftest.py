@@ -3,6 +3,8 @@ the session-wide random corpus the acceptance suite checks."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import strategies as st
 
@@ -28,6 +30,14 @@ def small_graphs(draw, min_n: int = 1, max_n: int = 8):
     else:
         edges = []
     return Graph.build(n, edges)
+
+
+def all_labelled_graphs(max_n: int):
+    """Every labelled simple graph on 1..max_n vertices."""
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            yield Graph.build(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
 
 
 def petersen() -> Graph:

@@ -58,6 +58,17 @@ def test_solve_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.edges"
     path.write_text("0 1\n")
     assert main(["solve", str(path), "-b", "4"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 1: edge before the 'n <count>' header\n"
+
+
+def test_solve_b_below_two_fails_first(capsys, monkeypatch):
+    # refused before the graph is read or its alpha searched
+    alpha_calls = spy_full_graph(monkeypatch, "independence_number")
+    assert main(["solve", "--family", "path n=3", "-b", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: b must be an integer >= 2\n"
+    assert alpha_calls == []
 
 
 def test_directory_paths_are_input_errors(tmp_path, capsys):
@@ -269,6 +280,35 @@ def test_verify_bad_b_list(tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("cycle n=5\n")
     assert main(["verify", str(manifest), "-b", "4,x"]) == 2
+
+
+def test_verify_repeated_b(tmp_path, capsys):
+    # a repeated b would write each of its rows twice
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("cycle n=5\n")
+    assert main(["verify", str(manifest), "-b", "4,5,4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: repeated b value in '4,5,4'\n"
+
+
+@pytest.mark.parametrize("text, fault", [
+    (b"n 3\n0 1 2\n", "line 2: expected 'u v', got '0 1 2'"),
+    (b"n 3\n0 1\xff\n", "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
+])
+def test_verify_directory_names_the_bad_file(tmp_path, capsys, text, fault):
+    (tmp_path / "a.edges").write_text("n 3\n0 1\n1 2\n")
+    bad = tmp_path / "b.edges"
+    bad.write_bytes(text)
+    assert main(["verify", str(tmp_path), "-b", "4"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {fault}\n"
+
+
+def test_verify_directory_names_the_empty_graph(tmp_path, capsys):
+    (tmp_path / "a.edges").write_text("n 3\n0 1\n1 2\n")
+    (tmp_path / "b.edges").write_text("n 0\n")
+    assert main(["verify", str(tmp_path), "-b", "4"]) == 2
+    assert capsys.readouterr().err == "error: cannot verify an empty graph (instance 'b.edges')\n"
 
 
 def test_verify_bad_jobs(tmp_path, capsys):

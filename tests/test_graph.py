@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_alpha, mask_of, neighbors, petersen, small_graphs
+from conftest import all_labelled_graphs, brute_force_alpha, mask_of, neighbors, petersen, small_graphs
 from pseudofactor.errors import CapacityError, GraphParseError, NonMaximalPathError
 from pseudofactor.factor import spanning_in_range
 from pseudofactor.generators import complete_graph, cycle_graph, gnp, path_graph
@@ -15,6 +15,7 @@ from pseudofactor.graph import (
     INDEPENDENCE_LIMIT,
     LONGEST_PATH_LIMIT,
     Graph,
+    _greedy_independent,
     bits,
     component_masks,
     endpoint_cycle,
@@ -23,7 +24,6 @@ from pseudofactor.graph import (
     load_edge_list,
     load_graph_text,
     longest_path,
-    maximum_independent_set,
     min_degree,
     norm_edge,
     to_edge_list,
@@ -203,14 +203,6 @@ class TestIndependence:
         assert independence_number(g) == 4
         assert brute_force_alpha(g) == 4
 
-    def test_witness_is_maximum_independent(self):
-        g = petersen()
-        witness = frozenset(bits(maximum_independent_set(g)))
-        assert len(witness) == 4
-        nbrs = neighbors(g)
-        for u in witness:
-            assert not (nbrs[u] & witness)
-
     def test_within(self):
         g = cycle_graph(5)
         assert independence_number(g, 0b111) == 2
@@ -226,19 +218,19 @@ class TestIndependence:
     def test_matches_brute_force(self, g):
         assert independence_number(g) == brute_force_alpha(g)
 
-    def test_witness_on_every_small_graph(self):
-        # all 1099 labelled graphs on 1..5 vertices, where ties abound
-        for g in _all_labelled_graphs(5):
-            _assert_pinned_witness(g, range(g.n))
+    def test_every_small_graph(self):
+        # all 1099 labelled graphs on 1..5 vertices
+        for g in all_labelled_graphs(5):
+            assert independence_number(g) == brute_force_alpha(g), g.edges
 
     @given(small_graphs(max_n=10), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_witness_within(self, g, data):
+    def test_matches_brute_force_within(self, g, data):
         within = data.draw(st.sets(st.integers(0, g.n - 1)))
-        _assert_pinned_witness(g, within)
+        assert independence_number(g, mask_of(within)) == brute_force_alpha(g, within), g.edges
 
-    def test_witness_where_greedy_falls_short(self):
-        # the branch order decides the witness only where the greedy seed is
+    def test_where_greedy_falls_short(self):
+        # the branch search decides alpha only where the greedy seed count is
         # not maximum: here 150 of the first 5,800 graphs drawn
         rng = random.Random(0)
         found = 0
@@ -246,66 +238,10 @@ class TestIndependence:
             n = rng.randint(7, 10)
             p = rng.choice((0.3, 0.4, 0.5))
             g = Graph.build(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
-            if len(_reference_greedy(g, range(n))) < independence_number(g):
+            alpha = independence_number(g)
+            if _greedy_independent(g.adj_bits, g.full_mask) < alpha:
                 found += 1
-                _assert_pinned_witness(g, range(n))
-
-
-def _all_labelled_graphs(max_n):
-    for n in range(1, max_n + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for chosen in range(1 << len(pairs)):
-            yield Graph.build(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
-
-
-def _is_independent(g, vertices):
-    nbrs = neighbors(g)
-    return not any(nbrs[v] & vertices for v in vertices)
-
-
-def _reference_greedy(g, within):
-    nbrs = neighbors(g)
-    chosen, remaining = set(), set(within)
-    while remaining:
-        v = min(sorted(remaining), key=lambda x: len(nbrs[x] & remaining))
-        chosen.add(v)
-        remaining -= nbrs[v] | {v}
-    return frozenset(chosen)
-
-
-def _reference_witness(g, within, alpha):
-    """The set maximum_independent_set's documented rule picks, on plain sets.
-
-    Greedy seed: repeatedly the lowest-index vertex of minimum degree in the
-    remaining induced subgraph. If it is not maximum, the first set of size
-    ``alpha`` at a leaf of the unpruned branch tree: branch on the
-    highest-degree candidate (lowest index on ties), taking it first, then
-    leaving it out.
-    """
-    chosen = _reference_greedy(g, within)
-    if len(chosen) == alpha:
-        return chosen
-    nbrs = neighbors(g)
-
-    def leaves(cand, taken):
-        if not cand:
-            yield taken
-            return
-        v = max(sorted(cand), key=lambda x: (len(nbrs[x] & cand), -x))
-        yield from leaves(cand - nbrs[v] - {v}, taken | {v})
-        yield from leaves(cand - {v}, taken)
-
-    return next(s for s in leaves(frozenset(within), frozenset()) if len(s) == alpha)
-
-
-def _assert_pinned_witness(g, within):
-    within = frozenset(within)
-    witness = frozenset(bits(maximum_independent_set(g, mask_of(within))))
-    alpha = brute_force_alpha(g, within)
-    assert witness <= within, g.edges
-    assert _is_independent(g, witness), g.edges
-    assert len(witness) == alpha == independence_number(g, mask_of(within)), g.edges
-    assert witness == _reference_witness(g, within, alpha), (g.edges, sorted(within))
+                assert alpha == brute_force_alpha(g), g.edges
 
 
 def _assert_valid_path(g, path):
@@ -456,7 +392,7 @@ class TestLongestPath:
     def test_lexicographically_smallest_on_every_small_graph(self):
         # random graphs rarely tie late in the search; all 1099 labelled
         # graphs on 1..5 vertices do
-        for g in _all_labelled_graphs(5):
+        for g in all_labelled_graphs(5):
             assert longest_path(g) == _brute_force_longest_path(g, range(g.n)), g.edges
 
 
@@ -578,7 +514,6 @@ class TestWithinRange:
     ENTRY_POINTS = {
         "vertex_mask": vertex_mask,
         "longest_path": longest_path,
-        "maximum_independent_set": maximum_independent_set,
         "independence_number": independence_number,
         "endpoint_cycle": lambda g, m: endpoint_cycle(g, tuple(range(g.n)), m),
         "posa_cover": posa_cover,

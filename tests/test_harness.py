@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -205,6 +206,30 @@ class TestRunCorpus:
         parallel = run_corpus(items, [4], mode="both", jobs=4)
         assert serial.reports == parallel.reports
         assert serial.summary == parallel.summary
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_start_method_writes_the_serial_body(self, method):
+        # Python 3.14 starts pools by forkserver on Linux, and macOS by spawn:
+        # a worker that re-imports the package must still write the serial rows
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import multiprocessing\n"
+            "from pseudofactor.generators import gnp\n"
+            "from pseudofactor.harness import jsonl_body_lines, run_corpus\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            "items = [(f'gnp {s}', gnp(7, 0.5, s)) for s in range(6)]\n"
+            "serial = jsonl_body_lines(run_corpus(items, [4, 5], mode='both'))\n"
+            "pooled = jsonl_body_lines(run_corpus(items, [4, 5], mode='both', jobs=2))\n"
+            "print(len(serial), pooled == serial)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout.split() == ["13", "True"]
 
     def test_jobs_below_one_rejected(self):
         for jobs in (0, -3):
