@@ -63,12 +63,12 @@ def _parse_b_list(text: str) -> list[int]:
 
 def _load_items(source: str):
     """(instance_id, Graph) pairs from a manifest file or a directory of
-    graph files."""
+    graph files (every regular file but the reports verify writes)."""
     path = Path(source)
     if path.is_dir():
         items = []
         for child in sorted(path.iterdir()):
-            if child.is_file():
+            if child.is_file() and child.suffix not in (".jsonl", ".csv"):
                 items.append((child.name, read_graph_file(child)))
         return items
     specs = parse_manifest(path.read_text(encoding="utf-8"))

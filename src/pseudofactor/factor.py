@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError, FactorError
 from .graph import Edge, Graph, bits, component_masks, norm_edge, vertex_mask
@@ -26,15 +26,13 @@ class ComponentClass(enum.Enum):
     VERTEX = "vertex"  # isolated in the factor
 
 
-@dataclass(frozen=True)
-class FactorComponent:
+class FactorComponent(NamedTuple):
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
     kind: ComponentClass
 
 
-@dataclass(frozen=True, repr=False)
-class PseudoFactor:
+class PseudoFactor(NamedTuple):
     """A validated pseudo [2,b]-factor: a graph, a chosen edge subset, and the
     classified components of the spanning subgraph they induce."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ManifestError
 from .graph import DECLARED_VERTEX_LIMIT, Graph
@@ -132,8 +132,7 @@ def _implied_size(family: str, values: dict[str, int | float]) -> tuple[int, int
     return n, n * (n - 1) // 2  # complete, gnp
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """One instance family with its parameters.
 
     join: h = size of the complete base graph, p = number of disjoint edges.

@@ -12,7 +12,7 @@ documented limits instead of ever returning an approximate answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError, GraphParseError, NonMaximalPathError
 
@@ -56,8 +56,7 @@ def bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True, repr=False)
-class Graph:
+class Graph(NamedTuple):
     """Finite simple undirected graph on vertices 0..n-1.
 
     ``adj_bits[v]`` is the bitmask of v's neighbors, derived from ``edges``

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import CapacityError
 from .graph import Graph, min_degree, to_edge_list
@@ -44,8 +44,7 @@ def theorem_bound(alpha: int, delta: int, b: int) -> int:
     return max(0, alpha - (b * (delta - 1)) // 2)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class _BoundRow(NamedTuple):
     instance: str
     n: int
     b: int
@@ -59,13 +58,18 @@ class BoundReport:
     b3_no_guarantee: bool
     status: str  # ok | BOUND_VIOLATION | SOLVER_INCONSISTENT | capacity_skipped
 
+
+class BoundReport(_BoundRow):
+    """One report row. Unlike the other records it keeps an instance
+    ``__dict__``, so a caller can attach its own data to a row (a row timer,
+    say) without that data ever reaching the row's fields."""
+
     def to_dict(self) -> dict:
-        # the fields by name, not ``__dict__``: attributes set on a report
-        # outside its fields never reach a row
-        return {name: getattr(self, name) for name in CSV_FIELDS}
+        # the fields only, never ``__dict__``
+        return self._asdict()
 
 
-CSV_FIELDS = tuple(f.name for f in fields(BoundReport))
+CSV_FIELDS = BoundReport._fields
 
 
 def bound_violated(optimum: int | None, bound: int | None, b: int) -> bool:
@@ -158,8 +162,7 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
 # corpus runs
 
 
-@dataclass(frozen=True)
-class CorpusRun:
+class CorpusRun(NamedTuple):
     reports: tuple[BoundReport, ...]
     summary: dict
 

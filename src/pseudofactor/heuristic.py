@@ -14,7 +14,7 @@ alpha(G) small components.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .factor import ComponentClass, FactorComponent, PseudoFactor
 from .graph import Edge, Graph, bits, component_masks, endpoint_cycle, norm_edge, vertex_mask
@@ -25,36 +25,31 @@ from .memo import SolveMemo
 MOVE_ORDER = ("X4", "X6", "X2", "X1", "X3", "X7")
 
 
-@dataclass(frozen=True)
-class ExchangeMove:
+class ExchangeMove(NamedTuple):
     kind: str
     add_edges: tuple[Edge, ...]
     remove_edges: tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     kind: str
     before: tuple[int, int, int]
     after: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class SearchState:
+class SearchState(NamedTuple):
     f_edges: frozenset[Edge]
     f_mask: int
     d_mask: int
     objective: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class ImproveOutcome:
+class ImproveOutcome(NamedTuple):
     state: SearchState
     steps: tuple[StepRecord, ...]
 
 
-@dataclass(frozen=True)
-class HeuristicResult:
+class HeuristicResult(NamedTuple):
     factor: PseudoFactor
     steps: tuple[StepRecord, ...]
     fallback: bool

@@ -13,7 +13,7 @@ solver code with the scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError
 from .factor import PseudoFactor, spanning_in_range
@@ -26,8 +26,7 @@ ORACLE_LIMIT = 15
 NAIVE_LIMIT = 9
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     optimum: int
     witness: PseudoFactor
 

@@ -262,6 +262,21 @@ def test_verify_directory_input(tmp_path, capsys):
     assert main(["verify", str(gdir), "-b", "4"]) == 0
 
 
+def test_verify_directory_skips_its_own_reports(tmp_path, capsys):
+    # a report and a CSV written into the corpus directory are not graphs, so
+    # the next run over that directory still reads only the graph files
+    gdir = tmp_path / "graphs"
+    gdir.mkdir()
+    (gdir / "c5.edges").write_text("n 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+    outputs = ["--report", str(gdir / "report.jsonl"), "--csv", str(gdir / "report.csv")]
+    assert main(["verify", str(gdir), "-b", "4", *outputs]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(gdir), "-b", "4"]) == 0
+    captured = capsys.readouterr()
+    assert "rows: 1" in captured.out
+    assert "error:" not in captured.err
+
+
 def test_verify_empty_manifest(tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("# nothing here\n")
