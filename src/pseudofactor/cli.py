@@ -6,13 +6,12 @@ Subcommands:
   solve     run the exact oracle and/or the constructive solver on one graph
   verify    run a corpus and check every row against the ceiling
 
-Exit codes: 0 ok, 2 parse error (or invalid option value, or a path that
-cannot be opened), 3 capacity refusal in strict mode, 4 bound violation
-(an exact optimum above the ceiling for b != 3, in verify and in solve),
-5 internal error (an invalid factor built by the oracle or the solver, a
-non-maximal path handed to endpoint_cycle, or values that break
-oracle <= solver <= alpha or the witness's optimum: a SOLVER_INCONSISTENT
-row in verify, a SOLVER INCONSISTENT line in solve).
+Exit codes, one rule for solve and verify: 0 ok; 2 parse error (or invalid
+option value, or a path that cannot be opened or that verify would
+overwrite); 3 capacity refusal (in solve, or in verify with --strict); 4 a
+BOUND_VIOLATION row and 5 a SOLVER_INCONSISTENT row, both decided by
+harness.check_instance; 5 also an internal error (an invalid factor built by
+the oracle or the solver, or a non-maximal path handed to endpoint_cycle).
 """
 
 from __future__ import annotations
@@ -26,21 +25,17 @@ from pathlib import Path
 
 from .errors import CapacityError, FactorError, NonMaximalPathError, ParseError
 from .factor import factor_to_text
-from .generators import FamilySpec, parse_manifest
-from .graph import Graph, min_degree, read_graph_file, to_edge_list
+from .generators import FamilySpec, read_manifest
+from .graph import Graph, read_graph_file, to_edge_list
 from .harness import (
     MODES,
-    bound_violated,
+    check_instance,
     run_corpus,
-    solvers_consistent,
     theorem_bound,
     write_csv,
     write_jsonl,
     write_reproducers,
 )
-from .heuristic import solve as heuristic_solve
-from .memo import SolveMemo
-from .oracle import min_small_components_exact
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -61,18 +56,22 @@ def _parse_b_list(text: str) -> list[int]:
     return values
 
 
+def _source_files(source: str) -> list[Path]:
+    """The files verify reads from ``source``: the manifest itself, or every
+    regular file of a directory but the reports verify writes."""
+    path = Path(source)
+    if not path.is_dir():
+        return [path]
+    return [child for child in sorted(path.iterdir())
+            if child.is_file() and child.suffix not in (".jsonl", ".csv")]
+
+
 def _load_items(source: str):
     """(instance_id, Graph) pairs from a manifest file or a directory of
-    graph files (every regular file but the reports verify writes)."""
-    path = Path(source)
-    if path.is_dir():
-        items = []
-        for child in sorted(path.iterdir()):
-            if child.is_file() and child.suffix not in (".jsonl", ".csv"):
-                items.append((child.name, read_graph_file(child)))
-        return items
-    specs = parse_manifest(path.read_text(encoding="utf-8"))
-    return [(spec.instance_id(), spec.build()) for spec in specs]
+    graph files."""
+    if Path(source).is_dir():
+        return [(child.name, read_graph_file(child)) for child in _source_files(source)]
+    return [(spec.instance_id(), spec.build()) for spec in read_manifest(source)]
 
 
 def _slug(text: str) -> str:
@@ -85,7 +84,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    specs = parse_manifest(Path(args.manifest).read_text(encoding="utf-8"))
+    specs = read_manifest(args.manifest)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     # graphs of an earlier run would interleave with this run's in verify
@@ -124,36 +123,28 @@ def _cmd_solve(args) -> int:
     print(f"n={g.n} m={len(g.edges)}")
     if g.n == 0:
         raise ParseError("cannot solve an empty graph")
-    delta = min_degree(g)
-    memo = SolveMemo(g)
-    alpha = memo.alpha(g.full_mask)
-    print(f"delta={delta} alpha={alpha} b={args.b}")
-    bound = None
-    if delta >= 1:
-        bound = theorem_bound(alpha, delta, args.b)
+    row, exact, res, refusal = check_instance(g, args.b, mode=args.mode, instance=instance)
+    if row.alpha is not None:
+        print(f"delta={row.delta} alpha={row.alpha} b={args.b}")
+        bound = "n/a (isolated vertices)" if row.isolated_vertices else row.theorem_bound
         print(f"theorem_bound={bound}")
-    else:
-        print("theorem_bound=n/a (isolated vertices)")
-    exact = None
-    heur = None
-    if args.mode in ("oracle", "both"):
-        exact = min_small_components_exact(g, args.b, memo=memo)
+    if exact is not None:
         print(f"oracle_optimum={exact.optimum}")
         print("oracle witness:")
         print(factor_to_text(exact.witness))
-    if args.mode in ("heuristic", "both"):
-        res = heuristic_solve(g, args.b, memo=memo)
-        heur = res.small_count
-        print(f"heuristic_small_count={heur}"
+    if res is not None:
+        print(f"heuristic_small_count={res.small_count}"
               + (" (fallback: no seed cycle)" if res.fallback else ""))
         for i, step in enumerate(res.steps, 1):
             print(f"step {i}: {step.kind} {step.before} -> {step.after}")
         print("heuristic factor:")
         print(factor_to_text(res.factor))
-    if bound_violated(None if exact is None else exact.optimum, bound, args.b):
+    if refusal is not None:
+        raise refusal
+    if row.status == "BOUND_VIOLATION":
         print(f"BOUND VIOLATION: {instance} b={args.b}", file=sys.stderr)
         return EXIT_VIOLATION
-    if not solvers_consistent(alpha, exact, heur):
+    if row.status == "SOLVER_INCONSISTENT":
         print(f"SOLVER INCONSISTENT: {instance} b={args.b}", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
@@ -163,12 +154,18 @@ def _cmd_verify(args) -> int:
     items = _load_items(args.source)
     b_values = _parse_b_list(args.b)
     # fail on an unwritable output path before the corpus runs, with the
-    # error that opening it for writing would raise
+    # error that opening it for writing would raise; an output over an input
+    # or over the other output would destroy what it overwrites
+    taken = {path.resolve() for path in _source_files(args.source)}
     for out in filter(None, (args.report, args.csv)):
         if Path(out).is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
         if not Path(out).parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+        target = Path(out).resolve()
+        if target in taken:
+            raise ParseError(f"{out}: output path is an input or the other output of this run")
+        taken.add(target)
     # a reproducer directory may be created later, but not over or under a file
     if args.reproducer_dir is not None:
         repro = Path(args.reproducer_dir)

@@ -228,3 +228,13 @@ def parse_manifest(text: str) -> list[FamilySpec]:
         except ManifestError as exc:
             raise ManifestError(f"line {lineno}: {exc}") from None
     return specs
+
+
+def read_manifest(path) -> list[FamilySpec]:
+    """Parse the manifest at ``path``; a bad line, or text that is not UTF-8,
+    raises ManifestError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_manifest(fh.read())
+    except (ManifestError, UnicodeDecodeError) as exc:
+        raise ManifestError(f"{path}: {exc}") from None

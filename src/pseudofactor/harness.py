@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .errors import CapacityError
 from .graph import Graph, min_degree, to_edge_list
-from .heuristic import solve
+from .heuristic import HeuristicResult, solve
 from .memo import SolveMemo
 from .oracle import OracleResult, min_small_components_exact
 
@@ -72,36 +72,19 @@ class BoundReport(_BoundRow):
 CSV_FIELDS = BoundReport._fields
 
 
-def bound_violated(optimum: int | None, bound: int | None, b: int) -> bool:
-    """An exact optimum above the ceiling, for b != 3 (which carries no
-    guarantee). A missing optimum or bound checks nothing."""
-    return optimum is not None and bound is not None and b != 3 and optimum > bound
+def check_instance(
+    g: Graph, b: int, mode: str = "oracle", instance: str = "", memo: SolveMemo | None = None
+) -> tuple[BoundReport, OracleResult | None, HeuristicResult | None, CapacityError | None]:
+    """The stages ``mode`` asks for on one (graph, b), for ``verify``'s rows and
+    ``solve``'s output: ``(row, exact, result, refusal)``, the report row, the
+    ``OracleResult`` and ``HeuristicResult`` (None where the stage did not
+    run), and the ``CapacityError`` that stopped a stage (None where none did).
 
-
-def solvers_consistent(alpha: int | None, exact: OracleResult | None,
-                       heuristic_value: int | None) -> bool:
-    """The solvers' own invariants: the oracle witness attains the optimum,
-    and oracle <= heuristic <= alpha. A missing value checks nothing."""
-    if exact is not None and exact.witness.small_count != exact.optimum:
-        return False
-    if heuristic_value is None:
-        return True
-    floor = 0 if exact is None else exact.optimum
-    return floor <= heuristic_value <= alpha
-
-
-def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
-                    memo: SolveMemo | None = None) -> BoundReport:
-    """Fully populated report row for one (graph, b).
-
-    Capacity refusals become status "capacity_skipped", never a silently
-    truncated answer. Bound checking needs delta >= 1; isolated vertices set a
-    flag and make the row informational. Values that break
-    oracle <= heuristic <= alpha, or an oracle witness whose small count is
-    not the optimum, make the row SOLVER_INCONSISTENT. ``memo``, when given,
-    must be a ``SolveMemo`` of this very graph; it holds alpha(G), the
-    oracle's scan and the solver's searches, and other rows of the same
-    graph may share it.
+    A refusal skips every later stage and makes the row "capacity_skipped",
+    never a silently truncated answer; BOUND_VIOLATION, then
+    SOLVER_INCONSISTENT, outrank it. ``memo``, when given, must be a
+    ``SolveMemo`` of this very graph; it holds alpha(G), the oracle's scan and
+    the solver's searches, and other rows of the same graph may share it.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -112,14 +95,12 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
     memo = SolveMemo.of(g, memo)
 
     delta = min_degree(g)
-    isolated = delta == 0
-    capacity_hit = False
     alpha: int | None = None
     bound: int | None = None
     kl = False
     exact: OracleResult | None = None
-    heur: int | None = None
-    # a refusal at any stage skips every later stage
+    result: HeuristicResult | None = None
+    refusal: CapacityError | None = None
     try:
         alpha = memo.alpha(g.full_mask)
         if delta >= 1:
@@ -128,21 +109,23 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
         if mode in ("oracle", "both"):
             exact = min_small_components_exact(g, b, memo=memo)
         if mode in ("heuristic", "both"):
-            heur = solve(g, b, memo=memo).small_count
-    except CapacityError:
-        capacity_hit = True
+            result = solve(g, b, memo=memo)
+    except CapacityError as exc:
+        refusal = exc
 
     oracle_opt = None if exact is None else exact.optimum
-    if bound_violated(oracle_opt, bound, b):
+    heur = None if result is None else result.small_count
+    if oracle_opt is not None and bound is not None and b != 3 and oracle_opt > bound:
         status = "BOUND_VIOLATION"
-    elif not solvers_consistent(alpha, exact, heur):
+    elif ((exact is not None and exact.witness.small_count != oracle_opt)
+          or (heur is not None and not (oracle_opt or 0) <= heur <= alpha)):
         status = "SOLVER_INCONSISTENT"
-    elif capacity_hit:
+    elif refusal is not None:
         status = "capacity_skipped"
     else:
         status = "ok"
 
-    return BoundReport(
+    row = BoundReport(
         instance=instance,
         n=g.n,
         b=b,
@@ -152,10 +135,17 @@ def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
         oracle_optimum=oracle_opt,
         heuristic_value=heur,
         kl_regime=kl,
-        isolated_vertices=isolated,
+        isolated_vertices=delta == 0,
         b3_no_guarantee=b == 3,
         status=status,
     )
+    return row, exact, result, refusal
+
+
+def verify_instance(g: Graph, b: int, mode: str = "oracle", instance: str = "",
+                    memo: SolveMemo | None = None) -> BoundReport:
+    """The report row of ``check_instance`` for one (graph, b)."""
+    return check_instance(g, b, mode=mode, instance=instance, memo=memo)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,58 @@ def test_verify_checks_output_paths_first(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_verify_refuses_outputs_over_its_inputs(tmp_path, capsys):
+    # a report or CSV over the manifest, over a graph file of a directory
+    # source, or over the other output would destroy it: nothing is written
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("cycle n=5\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(manifest)
+    gdir = tmp_path / "graphs"
+    gdir.mkdir()
+    graph = gdir / "c5.edges"
+    graph.write_text("n 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+    out = tmp_path / "out"
+    cases = (
+        (manifest, ["--report", str(manifest)]),
+        (manifest, ["--csv", str(link)]),
+        (link, ["--report", str(tmp_path / "." / "manifest.txt")]),
+        (gdir, ["--report", str(graph)]),
+        (gdir, ["--csv", str(gdir / ".." / "graphs" / "c5.edges")]),
+        (manifest, ["--report", str(out), "--csv", str(out)]),
+    )
+
+    def files():
+        return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    before = files()
+    for source, outputs in cases:
+        assert main(["verify", str(source), "-b", "4", *outputs]) == 2, outputs
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith(": output path is an input or the other output of this run\n")
+        assert files() == before
+    assert main(["verify", str(manifest), "-b", "4"]) == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "generate"])
+@pytest.mark.parametrize("text, fault", [
+    (b"cycle n=5\nfoo n=3\n",
+     "line 2: unknown family 'foo' (expected one of join, pendant, gnp, cycle, complete, path)"),
+    (b"cycle n=5\xff\n", "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+], ids=["bad-line", "not-utf8"])
+def test_manifest_errors_name_the_manifest(tmp_path, capsys, command, text, fault):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_bytes(text)
+    if command == "verify":
+        argv = ["verify", str(manifest), "-b", "4"]
+    else:
+        argv = ["generate", str(manifest), "-o", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: {fault}\n"
+
+
 def test_solve_capacity(tmp_path, capsys):
     path = tmp_path / "big.edges"
     path.write_text(to_edge_list(gnp(18, 0.4, 1)))
@@ -148,7 +200,7 @@ def test_solve_internal_error(capsys, monkeypatch):
     def broken(g, b, memo=None):
         raise FactorError("component (0, 1, 2): vertex 0 has degree 1, outside [2, 4]")
 
-    monkeypatch.setattr(cli, "heuristic_solve", broken)
+    monkeypatch.setattr(harness, "solve", broken)
     assert main(["solve", "--family", "cycle n=5", "-b", "4", "--mode", "heuristic"]) == 5
     assert "internal error:" in capsys.readouterr().err
 
@@ -161,42 +213,90 @@ def test_solve_non_maximal_path_is_internal(capsys, monkeypatch):
     assert "internal error:" in err and "not maximal" in err
 
 
+def run_on_spec(command, tmp_path, spec, b, mode):
+    """Exit code of ``solve`` or ``verify`` on one family spec at one b, and
+    the status of verify's report row (None for solve)."""
+    if command == "solve":
+        return main(["solve", "--family", spec, "-b", str(b), "--mode", mode]), None
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(spec + "\n")
+    report = tmp_path / "report.jsonl"
+    code = main(["verify", str(manifest), "-b", str(b), "--mode", mode,
+                 "--report", str(report), "--reproducer-dir", str(tmp_path / "repro")])
+    return code, json.loads(report.read_text().splitlines()[1])["status"]
+
+
+COMMANDS = ["solve", "verify"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_bound_violation_exit_code(tmp_path, capsys, monkeypatch, command):
+    # the pendant family's optimum is 3, so a ceiling of 0 is violated, except
+    # at b = 3, which carries no guarantee
+    monkeypatch.setattr(harness, "theorem_bound", lambda alpha, delta, b: 0)
+    code, status = run_on_spec(command, tmp_path, "pendant h=3", 4, "oracle")
+    assert code == 4
+    captured = capsys.readouterr()
+    if command == "solve":
+        assert "oracle_optimum=3" in captured.out
+        assert "BOUND VIOLATION: pendant h=3 b=4" in captured.err
+    else:
+        assert status == "BOUND_VIOLATION"
+        assert "BOUND VIOLATION detected" in captured.err
+        assert len(list((tmp_path / "repro").iterdir())) == 1
+    assert run_on_spec(command, tmp_path, "pendant h=3", 3, "oracle")[0] == 0
+    assert "BOUND VIOLATION" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("value", [-1, 3])
-def test_solve_impossible_heuristic_value(capsys, monkeypatch, value):
+def test_impossible_heuristic_value_exit_code(tmp_path, capsys, monkeypatch, command, value):
     # C5 at b=4: oracle optimum 0, alpha 2; -1 beats the oracle, 3 exceeds alpha
     def impossible(g, b, **_):
         real = solve(g, b)
         return SimpleNamespace(small_count=value, fallback=real.fallback,
                                steps=real.steps, factor=real.factor)
 
-    monkeypatch.setattr(cli, "heuristic_solve", impossible)
-    assert main(["solve", "--family", "cycle n=5", "-b", "4", "--mode", "both"]) == 5
+    monkeypatch.setattr(harness, "solve", impossible)
+    code, status = run_on_spec(command, tmp_path, "cycle n=5", 4, "both")
+    assert code == 5
     assert "SOLVER INCONSISTENT: cycle n=5 b=4" in capsys.readouterr().err
+    assert status == (None if command == "solve" else "SOLVER_INCONSISTENT")
 
 
-def test_solve_witness_must_attain_optimum(capsys, monkeypatch):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_witness_off_the_optimum_exit_code(tmp_path, capsys, monkeypatch, command):
+    # b = 3 carries no guarantee, so only the witness check can catch it
     real = min_small_components_exact
 
     def shifted(g, b, memo=None):
         result = real(g, b)
         return OracleResult(result.optimum + 1, result.witness)
 
-    monkeypatch.setattr(cli, "min_small_components_exact", shifted)
-    assert main(["solve", "--family", "path n=4", "-b", "3", "--mode", "oracle"]) == 5
+    monkeypatch.setattr(harness, "min_small_components_exact", shifted)
+    code, status = run_on_spec(command, tmp_path, "path n=4", 3, "oracle")
+    assert code == 5
     assert "SOLVER INCONSISTENT: path n=4 b=3" in capsys.readouterr().err
+    assert status == (None if command == "solve" else "SOLVER_INCONSISTENT")
 
 
-def test_solve_bound_violation_exit_code(capsys, monkeypatch):
-    # the pendant family's optimum is 3, so a ceiling of 0 is violated, except
-    # at b = 3, which carries no guarantee
-    monkeypatch.setattr(cli, "theorem_bound", lambda alpha, delta, b: 0)
-    argv = ["solve", "--family", "pendant h=3", "--mode", "oracle", "-b"]
-    assert main(argv + ["4"]) == 4
+@pytest.mark.parametrize("spec, mode, stages, refusal", [
+    ("gnp n=41 p=0.3 seed=1", "both", "n=41 m=235\n",
+     "independence search limited to 40 vertices, got 41"),
+    ("gnp n=16 p=0.3 seed=2", "oracle", "n=16 m=34\ndelta=2 alpha=6 b=4\ntheorem_bound=4\n",
+     "exact oracle limited to 15 vertices, got 16"),
+    ("gnp n=16 p=0.3 seed=2", "both", "n=16 m=34\ndelta=2 alpha=6 b=4\ntheorem_bound=4\n",
+     "exact oracle limited to 15 vertices, got 16"),
+    ("gnp n=19 p=0.2 seed=3", "heuristic", "n=19 m=30\ndelta=2 alpha=9 b=4\ntheorem_bound=7\n",
+     "longest-path search limited to 18 vertices, got 19"),
+], ids=["alpha", "oracle", "oracle-both", "solver"])
+def test_solve_refusal_output(capsys, spec, mode, stages, refusal):
+    # alpha, the oracle and the solver each refuse past their limit: solve
+    # prints the stages before the refusal, then the refusal, and exits 3
+    assert main(["solve", "--family", spec, "-b", "4", "--mode", mode]) == 3
     captured = capsys.readouterr()
-    assert "oracle_optimum=3" in captured.out
-    assert "BOUND VIOLATION: pendant h=3 b=4" in captured.err
-    assert main(argv + ["3"]) == 0
-    assert "BOUND VIOLATION" not in capsys.readouterr().err
+    assert captured.out == f"instance: {spec}\n{stages}"
+    assert captured.err == f"error: {refusal}\n"
 
 
 def test_generate_round_trip(tmp_path, capsys):
@@ -334,45 +434,8 @@ def test_verify_bad_jobs(tmp_path, capsys):
         assert "jobs must be at least 1" in capsys.readouterr().err
 
 
-def test_verify_solver_inconsistent_exit_code(tmp_path, capsys, monkeypatch):
-    class Impossible:
-        small_count = 99  # above alpha(C5) = 2
-
-    monkeypatch.setattr(harness, "solve", lambda g, b, **_: Impossible())
-    manifest = tmp_path / "manifest.txt"
-    manifest.write_text("cycle n=5\n")
-    report = tmp_path / "report.jsonl"
-    code = main(["verify", str(manifest), "-b", "4", "--mode", "both",
-                 "--report", str(report)])
-    assert code == 5
-    assert "SOLVER INCONSISTENT: cycle n=5 b=4" in capsys.readouterr().err
-    row = json.loads(report.read_text().splitlines()[1])
-    assert row["status"] == "SOLVER_INCONSISTENT"
-
-
 def test_verify_strict_capacity(tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("gnp n=18 p=0.4 seed=1\n")
     assert main(["verify", str(manifest), "-b", "4", "--strict"]) == 3
     assert main(["verify", str(manifest), "-b", "4"]) == 0  # informational otherwise
-
-
-def test_verify_violation_exit_code(tmp_path, capsys, monkeypatch):
-    real = min_small_components_exact
-
-    def inflated(g, b, memo=None):
-        result = real(g, b)
-        return OracleResult(result.optimum + 99, result.witness)
-
-    monkeypatch.setattr(harness, "min_small_components_exact", inflated)
-    manifest = tmp_path / "manifest.txt"
-    manifest.write_text("cycle n=5\n")
-    report = tmp_path / "report.jsonl"
-    code = main(["verify", str(manifest), "-b", "4", "--jobs", "1",
-                 "--report", str(report),
-                 "--reproducer-dir", str(tmp_path / "repro")])
-    assert code == 4
-    repro_files = list((tmp_path / "repro").iterdir())
-    assert len(repro_files) == 1
-    row = json.loads(report.read_text().splitlines()[1])
-    assert row["status"] == "BOUND_VIOLATION"

@@ -13,7 +13,9 @@ import pseudofactor.harness as harness
 import pseudofactor.memo as memo_module
 import pseudofactor.oracle as oracle_module
 from pseudofactor import heuristic
+from pseudofactor.errors import CapacityError
 from pseudofactor.generators import (
+    FamilySpec,
     complete_graph,
     cycle_graph,
     gnp,
@@ -24,7 +26,7 @@ from pseudofactor.generators import (
 from pseudofactor.graph import Graph
 from pseudofactor.harness import (
     BoundReport,
-    bound_violated,
+    check_instance,
     jsonl_body_lines,
     run_corpus,
     summarize,
@@ -93,12 +95,21 @@ class TestTheoremBound:
         with pytest.raises(ValueError):
             theorem_bound(3, 1, 1)
 
-    def test_bound_violated(self):
-        assert bound_violated(3, 2, 4)
-        assert not bound_violated(2, 2, 4)
-        assert not bound_violated(3, 2, 3)  # b = 3 carries no guarantee
-        assert not bound_violated(None, 2, 4)
-        assert not bound_violated(3, None, 4)
+    def test_bound_violated(self, monkeypatch):
+        # an exact optimum above the ceiling, for b != 3; the pendant
+        # family's optimum is 3, and the ceiling is patched to ``bound``
+        pendant = FamilySpec.parse("pendant h=3").build()
+
+        def status(bound, b=4, mode="oracle", g=pendant):
+            monkeypatch.setattr(harness, "theorem_bound", lambda alpha, delta, b: bound)
+            return check_instance(g, b, mode=mode)[0].status
+
+        assert status(2) == "BOUND_VIOLATION"
+        assert status(3) == "ok"
+        assert status(2, b=3) == "ok"  # b = 3 carries no guarantee
+        assert status(2, mode="heuristic") == "ok"  # no optimum to check
+        # no ceiling to check: an isolated vertex, optimum 2
+        assert status(0, g=Graph.build(3, [(0, 1)])) == "ok"
 
 
 class TestVerifyInstance:
@@ -139,6 +150,18 @@ class TestVerifyInstance:
         assert report.status == "capacity_skipped"
         assert report.oracle_optimum is None
         assert report.alpha is not None  # the cheap fields still fill in
+
+    def test_check_instance_returns_every_stage(self):
+        g = cycle_graph(5)
+        row, exact, result, refusal = check_instance(g, 4, mode="both", instance="c5")
+        assert row == verify_instance(g, 4, mode="both", instance="c5")
+        assert (exact.optimum, result.small_count, refusal) == (0, 0, None)
+        assert check_instance(g, 4, mode="heuristic")[1] is None
+        assert check_instance(g, 4, mode="oracle")[2] is None
+        # the oracle refuses at n = 16, so the solver after it never runs
+        row, exact, result, refusal = check_instance(gnp(16, 0.3, 2), 4, mode="both")
+        assert (row.status, exact, result) == ("capacity_skipped", None, None)
+        assert isinstance(refusal, CapacityError)
 
     def test_heuristic_mode(self):
         report = verify_instance(cycle_graph(5), 4, mode="heuristic")
