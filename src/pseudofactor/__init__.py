@@ -64,6 +64,6 @@ from .heuristic import (
     solve,
 )
 from .memo import SolveMemo
-from .oracle import OracleResult, min_small_components_exact, min_small_components_naive
+from .oracle import OracleResult, min_small_components_exact
 
 __version__ = "0.1.0"

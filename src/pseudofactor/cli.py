@@ -58,12 +58,14 @@ def _parse_b_list(text: str) -> list[int]:
 
 def _source_files(source: str) -> list[Path]:
     """The files verify reads from ``source``: the manifest itself, or every
-    regular file of a directory but the reports verify writes."""
+    regular file of a directory but the reports and reproducers verify
+    writes."""
     path = Path(source)
     if not path.is_dir():
         return [path]
     return [child for child in sorted(path.iterdir())
-            if child.is_file() and child.suffix not in (".jsonl", ".csv")]
+            if child.is_file() and child.suffix not in (".jsonl", ".csv")
+            and not child.match("violation_*.edges")]
 
 
 def _load_items(source: str):

@@ -1,14 +1,11 @@
 """Exact minimum number of small (edge/vertex) components over all pseudo
-[2,b]-factors, plus an independent cross-check oracle.
+[2,b]-factors, by a scan over a maximum-matching table.
 
-The main solver scans a maximum-matching table. Large components impose
-nothing on each other, and disjoint vertex sets that each carry a spanning
-subgraph with all degrees in [2, b] carry one together, so every factor is a
-large part S (empty, or such a feasible set) plus a matching of G - S; the
-best ones use a maximum matching and leave |V - S| - nu(G - S) small
-components. The cross-check enumerates set partitions directly and decides
-block feasibility by its own edge-subset search; it deliberately shares no
-solver code with the scan.
+Large components impose nothing on each other, and disjoint vertex sets that
+each carry a spanning subgraph with all degrees in [2, b] carry one
+together, so every factor is a large part S (empty, or such a feasible set)
+plus a matching of G - S; the best ones use a maximum matching and leave
+|V - S| - nu(G - S) small components.
 """
 
 from __future__ import annotations
@@ -22,18 +19,11 @@ from .memo import SolveMemo
 
 #: largest instance accepted by the matching-table scan
 ORACLE_LIMIT = 15
-#: largest instance accepted by the partition-enumeration cross-check
-NAIVE_LIMIT = 9
 
 
 class OracleResult(NamedTuple):
     optimum: int
     witness: PseudoFactor
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The witness's component vertex tuples."""
-        return tuple(c.vertices for c in self.witness.components)
 
 
 def _matching_scan(g: Graph) -> tuple[list[int], list[list[int]]]:
@@ -102,8 +92,7 @@ def _walk(nu: list[int], groups: list[list[int]], full: int):
 
 def min_small_components_exact(g: Graph, b: int, memo: SolveMemo | None = None) -> OracleResult:
     """Minimum count of edge/vertex components over all pseudo [2,b]-factors,
-    with a witness factor attaining it; ``blocks`` are the witness's
-    component vertex tuples.
+    with a witness factor attaining it.
 
     Candidate large parts S are walked group by group in order of small
     components, each group sorted only when the walk reaches it, so they are
@@ -146,94 +135,3 @@ def min_small_components_exact(g: Graph, b: int, memo: SolveMemo | None = None) 
             rest ^= 1 << w
 
     return OracleResult(optimum, PseudoFactor.build(g, edges, b))
-
-
-# ---------------------------------------------------------------------------
-# independent cross-check
-
-
-def _set_partitions(elems: list[int]):
-    """All set partitions of ``elems`` as lists of lists."""
-    if not elems:
-        yield []
-        return
-    first = elems[0]
-    for part in _set_partitions(elems[1:]):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
-def _feasible_by_edge_subsets(g: Graph, block: frozenset[int], b: int) -> bool:
-    """Decide a degree-[2,b] spanning subgraph of G[block] by include/exclude
-    search over the induced edge list (no ordering tricks, no memo)."""
-    verts = sorted(block)
-    edges = [e for e in g.edges if e[0] in block and e[1] in block]
-    deg = {v: 0 for v in verts}
-    rem = {v: 0 for v in verts}
-    for u, v in edges:
-        rem[u] += 1
-        rem[v] += 1
-
-    def rec(idx: int) -> bool:
-        if idx == len(edges):
-            return all(d >= 2 for d in deg.values())
-        u, v = edges[idx]
-        rem[u] -= 1
-        rem[v] -= 1
-        if deg[u] < b and deg[v] < b:
-            deg[u] += 1
-            deg[v] += 1
-            if rec(idx + 1):
-                return True
-            deg[u] -= 1
-            deg[v] -= 1
-        if deg[u] + rem[u] >= 2 and deg[v] + rem[v] >= 2:
-            if rec(idx + 1):
-                return True
-        rem[u] += 1
-        rem[v] += 1
-        return False
-
-    return rec(0)
-
-
-def min_small_components_naive(g: Graph, b: int) -> int:
-    """Same optimum as ``min_small_components_exact``, by direct enumeration
-    of every set partition of the vertices, each block checked by edge-subset
-    search."""
-    if b < 2:
-        raise ValueError(f"b must be at least 2, got {b}")
-    if g.n > NAIVE_LIMIT:
-        raise CapacityError(f"naive oracle limited to {NAIVE_LIMIT} vertices, got {g.n}")
-    if g.n == 0:
-        return 0
-
-    block_cost: dict[frozenset[int], int | None] = {}
-
-    def cost_of(block: frozenset[int]) -> int | None:
-        cached = block_cost.get(block)
-        if block in block_cost:
-            return cached
-        if len(block) == 1:
-            c: int | None = 1
-        elif len(block) == 2:
-            u, v = sorted(block)
-            c = 1 if g.adj_bits[u] >> v & 1 else None
-        else:
-            c = 0 if _feasible_by_edge_subsets(g, block, b) else None
-        block_cost[block] = c
-        return c
-
-    best: int | None = None
-    for part in _set_partitions(list(range(g.n))):
-        total = 0
-        for blk in part:
-            c = cost_of(frozenset(blk))
-            if c is None:
-                total = -1
-                break
-            total += c
-        if total >= 0 and (best is None or total < best):
-            best = total
-    return best

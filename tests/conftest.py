@@ -1,5 +1,6 @@
-"""Shared fixtures: named graphs, a hypothesis strategy for small graphs, and
-the session-wide random corpus the acceptance suite checks."""
+"""Shared fixtures: named graphs, a hypothesis strategy for small graphs, the
+session-wide random corpus the acceptance suite checks, and the reference
+computations the package is checked against."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import itertools
 import pytest
 from hypothesis import strategies as st
 
+from pseudofactor.errors import CapacityError
 from pseudofactor.generators import gnp
 from pseudofactor.graph import Graph
 from pseudofactor.oracle import min_small_components_exact
@@ -19,6 +21,8 @@ CORPUS_PROBS = (0.3, 0.5, 0.7)
 PER_CELL = 28
 CORPUS_B_VALUES = (4, 5, 6)
 SEED_CAP = 5000
+#: largest instance accepted by the partition-enumeration cross-check
+NAIVE_LIMIT = 9
 
 
 @st.composite
@@ -81,6 +85,97 @@ def brute_force_alpha(g: Graph, within=None) -> int:
             m ^= low
         if ok:
             best = max(best, mask.bit_count())
+    return best
+
+
+# The oracle's independent cross-check: it imports only ``Graph`` and
+# ``CapacityError`` from the package, so it shares no code with the scan.
+
+
+def _set_partitions(elems: list[int]):
+    """All set partitions of ``elems`` as lists of lists."""
+    if not elems:
+        yield []
+        return
+    first = elems[0]
+    for part in _set_partitions(elems[1:]):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def _feasible_by_edge_subsets(g: Graph, block: frozenset[int], b: int) -> bool:
+    """Decide a degree-[2,b] spanning subgraph of G[block] by include/exclude
+    search over the induced edge list (no ordering tricks, no memo)."""
+    verts = sorted(block)
+    edges = [e for e in g.edges if e[0] in block and e[1] in block]
+    deg = {v: 0 for v in verts}
+    rem = {v: 0 for v in verts}
+    for u, v in edges:
+        rem[u] += 1
+        rem[v] += 1
+
+    def rec(idx: int) -> bool:
+        if idx == len(edges):
+            return all(d >= 2 for d in deg.values())
+        u, v = edges[idx]
+        rem[u] -= 1
+        rem[v] -= 1
+        if deg[u] < b and deg[v] < b:
+            deg[u] += 1
+            deg[v] += 1
+            if rec(idx + 1):
+                return True
+            deg[u] -= 1
+            deg[v] -= 1
+        if deg[u] + rem[u] >= 2 and deg[v] + rem[v] >= 2:
+            if rec(idx + 1):
+                return True
+        rem[u] += 1
+        rem[v] += 1
+        return False
+
+    return rec(0)
+
+
+def min_small_components_naive(g: Graph, b: int) -> int:
+    """Same optimum as ``min_small_components_exact``, by direct enumeration
+    of every set partition of the vertices, each block checked by edge-subset
+    search."""
+    if b < 2:
+        raise ValueError(f"b must be at least 2, got {b}")
+    if g.n > NAIVE_LIMIT:
+        raise CapacityError(f"naive oracle limited to {NAIVE_LIMIT} vertices, got {g.n}")
+    if g.n == 0:
+        return 0
+
+    block_cost: dict[frozenset[int], int | None] = {}
+
+    def cost_of(block: frozenset[int]) -> int | None:
+        cached = block_cost.get(block)
+        if block in block_cost:
+            return cached
+        if len(block) == 1:
+            c: int | None = 1
+        elif len(block) == 2:
+            u, v = sorted(block)
+            c = 1 if g.adj_bits[u] >> v & 1 else None
+        else:
+            c = 0 if _feasible_by_edge_subsets(g, block, b) else None
+        block_cost[block] = c
+        return c
+
+    best: int | None = None
+    for part in _set_partitions(list(range(g.n))):
+        total = 0
+        for blk in part:
+            c = cost_of(frozenset(blk))
+            if c is None:
+                total = -1
+                break
+            total += c
+        if total >= 0 and (best is None or total < best):
+            best = total
     return best
 
 

@@ -15,13 +15,13 @@ from pathlib import Path
 import pytest
 
 import pseudofactor
-from conftest import CORPUS_B_VALUES, brute_force_alpha
+from conftest import CORPUS_B_VALUES, brute_force_alpha, min_small_components_naive
 from pseudofactor.factor import validate_pseudo_factor
 from pseudofactor.generators import complete_graph, cycle_graph, join_sharpness, pendant_sharpness
 from pseudofactor.graph import independence_number, min_degree
 from pseudofactor.harness import theorem_bound
 from pseudofactor.heuristic import posa_cover, solve
-from pseudofactor.oracle import min_small_components_exact, min_small_components_naive
+from pseudofactor.oracle import min_small_components_exact
 
 
 def test_criterion_1_bound_on_random_corpus(random_corpus, corpus_oracle):

@@ -280,6 +280,43 @@ def test_witness_off_the_optimum_exit_code(tmp_path, capsys, monkeypatch, comman
     assert status == (None if command == "solve" else "SOLVER_INCONSISTENT")
 
 
+def _internal_error(g, b, memo=None):
+    raise FactorError("component (0, 1, 2): vertex 0 has degree 1, outside [2, 4]")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("code, spec, b, mode, patch, faults", [
+    (0, "cycle n=5", "4", "both", None, ("", "")),
+    (2, "cycle n=5", "1", "both", None,
+     ("error: b must be an integer >= 2\n", "error: every b must be an integer >= 2\n")),
+    (3, "gnp n=16 p=0.3 seed=2", "4", "oracle", None,
+     ("error: exact oracle limited to 15 vertices, got 16\n", "capacity refusals in strict mode\n")),
+    (4, "pendant h=3", "4", "oracle", ("theorem_bound", lambda alpha, delta, b: 0),
+     ("BOUND VIOLATION: pendant h=3 b=4\n", "BOUND VIOLATION detected\n")),
+    (5, "cycle n=5", "4", "heuristic", ("solve", _internal_error),
+     ("internal error: component (0, 1, 2)",) * 2),
+], ids=["ok", "parse", "capacity", "violation", "internal"])
+def test_every_exit_code(tmp_path, capsys, monkeypatch, command, code, spec, b, mode, patch, faults):
+    # every documented exit code of both commands; verify runs serially, so
+    # its rows call the patched harness, and under --strict, so a refused
+    # row exits 3 as it does in solve
+    if patch is not None:
+        monkeypatch.setattr(harness, *patch)
+    if command == "solve":
+        argv = ["solve", "--family", spec, "-b", b, "--mode", mode]
+        fault = faults[0]
+    else:
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(spec + "\n")
+        argv = ["verify", str(manifest), "-b", b, "--mode", mode, "--jobs", "1", "--strict",
+                "--reproducer-dir", str(tmp_path / "repro")]
+        fault = faults[1]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert fault in err
+    assert (err == "") == (code == 0)
+
+
 @pytest.mark.parametrize("spec, mode, stages, refusal", [
     ("gnp n=41 p=0.3 seed=1", "both", "n=41 m=235\n",
      "independence search limited to 40 vertices, got 41"),
@@ -362,14 +399,19 @@ def test_verify_directory_input(tmp_path, capsys):
     assert main(["verify", str(gdir), "-b", "4"]) == 0
 
 
-def test_verify_directory_skips_its_own_reports(tmp_path, capsys):
-    # a report and a CSV written into the corpus directory are not graphs, so
-    # the next run over that directory still reads only the graph files
+def test_verify_directory_skips_its_own_reports(tmp_path, capsys, monkeypatch):
+    # a report, a CSV and a violation reproducer (written to the report's
+    # directory by default) kept in the corpus directory are not graphs, so
+    # the next run over that directory still reads only the graph file
     gdir = tmp_path / "graphs"
     gdir.mkdir()
-    (gdir / "c5.edges").write_text("n 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+    (gdir / "pendant.edges").write_text("n 6\n0 1\n1 2\n0 2\n0 3\n1 4\n2 5\n")
     outputs = ["--report", str(gdir / "report.jsonl"), "--csv", str(gdir / "report.csv")]
-    assert main(["verify", str(gdir), "-b", "4", *outputs]) == 0
+    with monkeypatch.context() as patched:
+        # the pendant triangle's optimum is 3, so a ceiling of 0 is violated
+        patched.setattr(harness, "theorem_bound", lambda alpha, delta, b: 0)
+        assert main(["verify", str(gdir), "-b", "4", *outputs]) == 4
+    assert (gdir / "violation_0000.edges").is_file()
     capsys.readouterr()
     assert main(["verify", str(gdir), "-b", "4"]) == 0
     captured = capsys.readouterr()

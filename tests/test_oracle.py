@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import neighbors, small_graphs
+from conftest import (
+    _feasible_by_edge_subsets,
+    _set_partitions,
+    min_small_components_naive,
+    neighbors,
+    small_graphs,
+)
 from pseudofactor import oracle
 from pseudofactor.errors import CapacityError
 from pseudofactor.factor import ComponentClass, validate_pseudo_factor
@@ -18,7 +24,12 @@ from pseudofactor.generators import (
 )
 from pseudofactor.graph import Graph, bits
 from pseudofactor.memo import SolveMemo
-from pseudofactor.oracle import min_small_components_exact, min_small_components_naive
+from pseudofactor.oracle import min_small_components_exact
+
+
+def _blocks(result) -> tuple[tuple[int, ...], ...]:
+    """The witness's component vertex tuples."""
+    return tuple(c.vertices for c in result.witness.components)
 
 
 class TestExact:
@@ -40,7 +51,7 @@ class TestExact:
     def test_empty_graph(self):
         result = min_small_components_exact(Graph.build(0, []), 4)
         assert result.optimum == 0
-        assert result.blocks == ()
+        assert _blocks(result) == ()
 
     def test_capacity(self, monkeypatch):
         over = oracle.ORACLE_LIMIT + 1
@@ -58,30 +69,29 @@ class TestExact:
             result = min_small_components_exact(g, 4)
             summary = validate_pseudo_factor(g, result.witness.edges, 4)
             assert summary.small_count == result.optimum
-            assert result.blocks == tuple(c.vertices for c in result.witness.components)
 
     def test_witness_blocks_partition_vertices(self):
         g = gnp(9, 0.5, 7)
         result = min_small_components_exact(g, 4)
-        flat = [v for block in result.blocks for v in block]
+        flat = [v for block in _blocks(result) for v in block]
         assert sorted(flat) == list(range(9))
 
     def test_deterministic_witness(self):
         g = gnp(8, 0.5, 3)
         first = min_small_components_exact(g, 4)
         second = min_small_components_exact(g, 4)
-        assert first.blocks == second.blocks
+        assert _blocks(first) == _blocks(second)
         assert first.witness.edges == second.witness.edges
 
     def test_witness_tie_breaks(self):
         # P3 has two optima with one singleton each, both with S empty; the
         # matching is rebuilt lowest vertex first, and vertex 0 stays single
         # because G - 0 still has a matching of the maximum size
-        assert min_small_components_exact(path_graph(3), 4).blocks == ((0,), (1, 2))
+        assert _blocks(min_small_components_exact(path_graph(3), 4)) == ((0,), (1, 2))
         # pendant family: three stem edges (no vertex components) beat any
         # optimum that leaves singletons behind
         g = pendant_sharpness(cycle_graph(3))
-        assert min_small_components_exact(g, 4).blocks == ((0, 3), (1, 4), (2, 5))
+        assert _blocks(min_small_components_exact(g, 4)) == ((0, 3), (1, 4), (2, 5))
 
     def test_monotone_in_b(self):
         # a wider degree window never costs more small components
@@ -103,7 +113,7 @@ class TestSharedScan:
             own = min_small_components_exact(g, b)
             assert shared.optimum == own.optimum
             assert shared.witness.edges == own.witness.edges
-            assert shared.blocks == own.blocks
+            assert _blocks(shared) == _blocks(own)
 
     def test_memo_of_another_graph_rejected(self):
         g = cycle_graph(5)
@@ -148,7 +158,7 @@ def _reference_large_part(g: Graph, b: int) -> tuple[int, int]:
 
     for large in sorted(range(1 << g.n), key=key):
         block = frozenset(bits(large))
-        if not large or oracle._feasible_by_edge_subsets(g, block, b):
+        if not large or _feasible_by_edge_subsets(g, block, b):
             return key(large)[0], large
     raise AssertionError("the empty large part is always feasible")
 
@@ -304,8 +314,6 @@ class TestWalkOrder:
 class TestNaive:
     def test_partition_enumeration_counts(self):
         # Bell numbers pin the enumerator itself
-        from pseudofactor.oracle import _set_partitions
-
         assert sum(1 for _ in _set_partitions(list(range(4)))) == 15
         assert sum(1 for _ in _set_partitions(list(range(6)))) == 203
         for part in _set_partitions(list(range(5))):
