@@ -17,7 +17,6 @@ from typing import NamedTuple
 from .errors import ManifestError
 from .graph import DECLARED_VERTEX_LIMIT, Graph
 
-FAMILIES = ("join", "pendant", "gnp", "cycle", "complete", "path")
 #: largest edge count a family spec may imply (for gnp: the vertex pairs it
 #: samples); checked at parse time, before anything is built
 MANIFEST_EDGE_LIMIT = 1 << 18
@@ -45,12 +44,12 @@ def join_sharpness(h: Graph, p: int) -> Graph:
     return Graph.build(n, edges)
 
 
-def pendant_sharpness(h: Graph, b: int | None = None) -> Graph:
+def pendant_sharpness(h: Graph) -> Graph:
     """``h`` plus one new degree-1 vertex hung on each of its vertices.
 
-    Requires every vertex of h to have degree at least 2 (and at most b when
-    b is given), so h itself is a valid large component. The result has
-    minimum degree 1 and independence number |V(h)|.
+    Requires every vertex of h to have degree at least 2, so h itself is a
+    valid large component for every b at least its maximum degree. The
+    result has minimum degree 1 and independence number |V(h)|.
     """
     if h.n == 0:
         raise ValueError("base graph must be nonempty")
@@ -58,8 +57,6 @@ def pendant_sharpness(h: Graph, b: int | None = None) -> Graph:
         d = h.adj_bits[v].bit_count()
         if d < 2:
             raise ValueError(f"vertex {v} has degree {d} < 2")
-        if b is not None and d > b:
-            raise ValueError(f"vertex {v} has degree {d} > b = {b}")
     edges = list(h.edges) + [(i, h.n + i) for i in range(h.n)]
     return Graph.build(2 * h.n, edges)
 
@@ -101,35 +98,27 @@ def path_graph(n: int) -> Graph:
 # ---------------------------------------------------------------------------
 # family specs ("family key=value ...") for the CLI and corpus manifests
 
-_REQUIRED_KEYS = {
-    "join": ("h", "p"),
-    "pendant": ("h",),
-    "gnp": ("n", "p", "seed"),
-    "cycle": ("n",),
-    "complete": ("n",),
-    "path": ("n",),
+#: family -> (its keys; the (vertices, edges) of the graph it builds, gnp
+#: counting every vertex pair it samples; its builder). Both functions take
+#: the values in key order, as ``_arguments`` gives them.
+_FAMILIES = {
+    "join": (("h", "p"),
+             lambda h, p: (h + 2 * p, h * (h - 1) // 2 + p + 2 * h * p),
+             lambda h, p: join_sharpness(complete_graph(h), p)),
+    "pendant": (("h",), lambda h: (2 * h, 2 * h), lambda h: pendant_sharpness(cycle_graph(h))),
+    "gnp": (("n", "p", "seed"), lambda n, p, seed: (n, n * (n - 1) // 2), gnp),
+    "cycle": (("n",), lambda n: (n, n), cycle_graph),
+    "complete": (("n",), lambda n: (n, n * (n - 1) // 2), complete_graph),
+    "path": (("n",), lambda n: (n, max(0, n - 1)), path_graph),
 }
+#: the one (family, key) whose value may be real; every other is an integer
+_REAL_KEY = ("gnp", "p")
 
 
-def _implied_size(family: str, values: dict[str, int | float]) -> tuple[int, int]:
-    """(vertices, edges) of the graph a spec builds; gnp counts every vertex
-    pair it samples. Negative sizes count as 0 and are left to ``build``."""
-
-    def size(key: str) -> int:
-        return max(0, int(values[key]))
-
-    if family == "join":
-        h, p = size("h"), size("p")
-        return h + 2 * p, h * (h - 1) // 2 + p + 2 * h * p
-    if family == "pendant":
-        h = size("h")
-        return 2 * h, 2 * h
-    n = size("n")
-    if family == "cycle":
-        return n, n
-    if family == "path":
-        return n, max(0, n - 1)
-    return n, n * (n - 1) // 2  # complete, gnp
+def _arguments(family: str, params) -> list[int | float]:
+    """The values of ``params`` as the family's functions take them: ints,
+    except gnp's p, which is passed as given."""
+    return [v if (family, k) == _REAL_KEY else int(v) for k, v in params]
 
 
 class FamilySpec(NamedTuple):
@@ -140,7 +129,8 @@ class FamilySpec(NamedTuple):
     gnp: n, p (edge probability), seed.
     cycle / complete / path: n.
     Every value but gnp's p must be an integer (``6`` or ``6.0``, never
-    ``6.5``).
+    ``6.5``). Values are kept as parsed, so ``n=6.0`` stays ``n=6.0`` in
+    ``instance_id``.
     """
 
     family: str
@@ -152,8 +142,9 @@ class FamilySpec(NamedTuple):
         if not parts:
             raise ManifestError("empty family spec")
         family = parts[0]
-        if family not in FAMILIES:
-            raise ManifestError(f"unknown family {family!r} (expected one of {', '.join(FAMILIES)})")
+        if family not in _FAMILIES:
+            raise ManifestError(f"unknown family {family!r} (expected one of {', '.join(_FAMILIES)})")
+        keys, size, _ = _FAMILIES[family]
         seen: dict[str, int | float] = {}
         for tok in parts[1:]:
             if "=" not in tok:
@@ -168,21 +159,22 @@ class FamilySpec(NamedTuple):
                     seen[key] = float(val)
                 except ValueError:
                     raise ManifestError(f"non-numeric value for {key!r}: {val!r}") from None
-        required = _REQUIRED_KEYS[family]
-        missing = [k for k in required if k not in seen]
+        missing = [k for k in keys if k not in seen]
         if missing:
             raise ManifestError(f"family {family!r} missing {', '.join(missing)}")
-        extra = [k for k in seen if k not in required]
+        extra = [k for k in seen if k not in keys]
         if extra:
             raise ManifestError(f"family {family!r} does not take {', '.join(extra)}")
-        for key in required:
+        for key in keys:
             val = seen[key]
-            if isinstance(val, float) and (family, key) != ("gnp", "p"):
+            if isinstance(val, float) and (family, key) != _REAL_KEY:
                 if not math.isfinite(val):
                     raise ManifestError(f"{key}={val} is not finite")
                 if not val.is_integer():
                     raise ManifestError(f"{key}={val} is not an integer")
-        vertices, edges = _implied_size(family, seen)
+        params = tuple((k, seen[k]) for k in keys)
+        # negative values count as 0 here and are left to the builder
+        vertices, edges = size(*(max(0, v) for v in _arguments(family, params)))
         if vertices > DECLARED_VERTEX_LIMIT:
             raise ManifestError(
                 f"family {family!r} implies {vertices} vertices, over the limit of {DECLARED_VERTEX_LIMIT}"
@@ -191,7 +183,7 @@ class FamilySpec(NamedTuple):
             raise ManifestError(
                 f"family {family!r} implies {edges} edges, over the limit of {MANIFEST_EDGE_LIMIT}"
             )
-        return cls(family, tuple((k, seen[k]) for k in required))
+        return cls(family, params)
 
     def get(self, key: str) -> int | float:
         return dict(self.params)[key]
@@ -201,17 +193,7 @@ class FamilySpec(NamedTuple):
 
     def build(self) -> Graph:
         try:
-            if self.family == "join":
-                return join_sharpness(complete_graph(int(self.get("h"))), int(self.get("p")))
-            if self.family == "pendant":
-                return pendant_sharpness(cycle_graph(int(self.get("h"))))
-            if self.family == "gnp":
-                return gnp(int(self.get("n")), float(self.get("p")), int(self.get("seed")))
-            if self.family == "cycle":
-                return cycle_graph(int(self.get("n")))
-            if self.family == "complete":
-                return complete_graph(int(self.get("n")))
-            return path_graph(int(self.get("n")))
+            return _FAMILIES[self.family][2](*_arguments(self.family, self.params))
         except ValueError as exc:
             raise ManifestError(f"{self.instance_id()}: {exc}") from exc
 

@@ -23,8 +23,9 @@ INDEPENDENCE_LIMIT = 40
 #: largest vertex count accepted by the exhaustive longest-path search
 LONGEST_PATH_LIMIT = 18
 #: largest vertex count a graph file may declare; checked before any
-#: per-vertex allocation, far above every exact routine's limit
-DECLARED_VERTEX_LIMIT = 1 << 16
+#: per-vertex allocation. Far above every exact routine's limit, and low
+#: enough that a graph's n adjacency masks, up to n bits each, stay small
+DECLARED_VERTEX_LIMIT = 1 << 10
 
 
 def norm_edge(u: int, v: int) -> Edge:

@@ -234,29 +234,29 @@ def _candidates(state: SearchState, g: Graph, b: int, memo: SolveMemo):
             if fdeg[u] <= b - 2:
                 yield ExchangeMove("X6", (norm_edge(u, x0),) + p_edges + (norm_edge(u, y0),), ())
 
-    # attachments: the F-vertices with a neighbor in D. The connector of each
-    # pair (a shortest path with internal vertices in D) is walked once per
-    # kind: X2, then X1, then X3
+    # attachments: the F-vertices with a neighbor in D; their pairs are walked
+    # once per kind: X2, then X1, then X3. A pair's connector, a shortest path
+    # with internal vertices in D, always exists because D is connected; it is
+    # searched for only when a move is yielded
     attachments = [v for v in bits(state.f_mask) if adj[v] & d]
-    pairs = []
-    for ui, uj in itertools.combinations(attachments, 2):
-        p = _path_through(g, d, ui, uj)
-        if p is not None:
-            pairs.append((ui, uj, _path_edges(p)))
+    pairs = list(itertools.combinations(attachments, 2))
+
+    def connector(ui: int, uj: int) -> tuple[Edge, ...]:
+        return _path_edges(_path_through(g, d, ui, uj))
 
     # X2: bridge two attachments of degree <= b-1
-    for ui, uj, conn in pairs:
+    for ui, uj in pairs:
         if fdeg[ui] <= b - 1 and fdeg[uj] <= b - 1:
-            yield ExchangeMove("X2", conn, ())
+            yield ExchangeMove("X2", connector(ui, uj), ())
 
     # X1: reroute an F-edge between the two attachments through D
-    for ui, uj, conn in pairs:
+    for ui, uj in pairs:
         e = norm_edge(ui, uj)
         if e in state.f_edges:
-            yield ExchangeMove("X1", conn, (e,))
+            yield ExchangeMove("X1", connector(ui, uj), (e,))
 
     # X3: detach one F-edge at each attachment, reconnect through D
-    for ui, uj, conn in pairs:
+    for ui, uj in pairs:
         for x in bits(fadj[ui]):
             if x == uj:
                 continue
@@ -268,7 +268,7 @@ def _candidates(state: SearchState, g: Graph, b: int, memo: SolveMemo):
                         continue
                 elif fdeg[x] < 3 or fdeg[y] < 3:
                     continue
-                yield ExchangeMove("X3", conn, (norm_edge(ui, x), norm_edge(uj, y)))
+                yield ExchangeMove("X3", connector(ui, uj), (norm_edge(ui, x), norm_edge(uj, y)))
 
     # X7: delete a maximal degree-2 segment of F
     for removal in _deletable_segments(state, fadj):

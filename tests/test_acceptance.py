@@ -78,7 +78,7 @@ def test_criterion_3_pendant_family_sharpness():
     checked = 0
     for cycle_len in (3, 4, 5):
         for b in (4, 5):
-            g = pendant_sharpness(cycle_graph(cycle_len), b=b)
+            g = pendant_sharpness(cycle_graph(cycle_len))
             delta = min_degree(g)
             alpha = independence_number(g)
             assert (delta, alpha) == (1, cycle_len)

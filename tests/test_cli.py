@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from test_harness import spy_full_graph
 
+import pseudofactor
 import pseudofactor.cli as cli
 import pseudofactor.harness as harness
 import pseudofactor.memo as memo_module
@@ -173,6 +178,28 @@ def test_solve_declared_vertex_count(tmp_path, capsys):
         path.write_text(text)
         assert main(["solve", str(path), "-b", "4"]) == 2
         assert "exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, code", [(65536, 2), (1024, 3)])
+def test_star_file_within_a_memory_cap(tmp_path, n, code):
+    # a star file declaring n vertices, run in a child whose address space is
+    # capped at 256 MiB: the 65536-vertex star (775 KB) is refused at its
+    # header (exit 2), and the largest star a header admits still reaches
+    # alpha's capacity refusal (exit 3)
+    resource = pytest.importorskip("resource")
+    gdir = tmp_path / "graphs"
+    gdir.mkdir()
+    star = gdir / "star.edges"
+    star.write_text(f"n {n}\n" + "".join(f"{i} {n - 1}\n" for i in range(n - 1)))
+    cap = 256 << 20
+    env = {**os.environ, "PYTHONPATH": str(Path(pseudofactor.__file__).parents[1])}
+    for argv in (["solve", str(star), "-b", "4"], ["verify", str(gdir), "-b", "4", "--strict"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pseudofactor", *argv], capture_output=True, text=True, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == code, proc.stderr
+        header = f"line 1: vertex count {n} exceeds the limit of 1024"
+        assert (header in proc.stderr) == (code == 2), proc.stderr
 
 
 def test_solve_non_finite_family_size(capsys):

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudofactor import generators
 from pseudofactor.errors import ManifestError
 from pseudofactor.generators import (
     MANIFEST_EDGE_LIMIT,
@@ -78,12 +81,6 @@ class TestPendantFamily:
         with pytest.raises(ValueError, match="degree 1"):
             pendant_sharpness(star)
 
-    def test_upper_degree_checked_when_b_given(self):
-        k5 = complete_graph(5)
-        pendant_sharpness(k5)  # fine without a window
-        with pytest.raises(ValueError, match="> b"):
-            pendant_sharpness(k5, b=3)
-
 
 class TestGnp:
     def test_zero_probability(self):
@@ -139,6 +136,34 @@ class TestFamilySpec:
         with pytest.raises(ManifestError, match="unknown family"):
             FamilySpec.parse("torus n=5")
 
+    def test_unknown_family_lists_every_family_in_table_order(self):
+        with pytest.raises(ManifestError) as info:
+            FamilySpec.parse("torus n=5")
+        assert str(info.value) == ("unknown family 'torus' (expected one of "
+                                   "join, pendant, gnp, cycle, complete, path)")
+        assert list(generators._FAMILIES) == ["join", "pendant", "gnp", "cycle", "complete", "path"]
+
+    @pytest.mark.parametrize("family", list(generators._FAMILIES))
+    def test_implied_size_matches_the_built_graph(self, family):
+        # the implied (vertices, edges) is the built graph's, except that gnp
+        # below p = 1 builds only some of the vertex pairs it samples
+        keys, size, build = generators._FAMILIES[family]
+        grid = [(0.5, 1) if (family, key) == ("gnp", "p") else range(1, 6) for key in keys]
+        built = 0
+        for values in itertools.product(*grid):
+            params = dict(zip(keys, values))
+            try:
+                g = build(*values)
+            except ValueError:
+                continue  # outside the family's domain, as build() reports it
+            vertices, edges = size(*values)
+            if family == "gnp" and params["p"] < 1:
+                assert g.n == vertices and len(g.edges) <= edges, values
+            else:
+                assert (g.n, len(g.edges)) == (vertices, edges), values
+            built += 1
+        assert built >= 3
+
     def test_missing_key(self):
         with pytest.raises(ManifestError, match="missing"):
             FamilySpec.parse("gnp n=8 p=0.5")
@@ -154,6 +179,12 @@ class TestFamilySpec:
     def test_bad_parameter_surfaces_instance(self):
         with pytest.raises(ManifestError, match="cycle"):
             FamilySpec.parse("cycle n=2").build()
+
+    def test_integer_probability_past_float_range_surfaces_instance(self):
+        # gnp's p reaches the builder as written; float() of it used to
+        # escape as OverflowError
+        with pytest.raises(ManifestError, match="edge probability must be in"):
+            FamilySpec.parse(f"gnp n=5 p={10 ** 400} seed=1").build()
 
     @pytest.mark.parametrize("line", [
         "complete n=1000000000",

@@ -177,6 +177,19 @@ class TestEnumerateMoves:
         for state in visited_states(g, b):
             self.assert_candidates_keep_the_degree_window(state, g, b)
 
+    def test_every_attachment_pair_has_a_connector(self):
+        # D is a component of G - F, so it is connected, and each attachment
+        # has a neighbor in it: X2, X1 and X3 always find a connector
+        pairs = 0
+        for g in all_labelled_graphs(5):
+            for b in range(2, 7):
+                for state in visited_states(g, b):
+                    for ui, uj in itertools.combinations(attachments(state, g), 2):
+                        path = heuristic._path_through(g, state.d_mask, ui, uj)
+                        assert path is not None, (g.edges, b, state)
+                        pairs += 1
+        assert pairs > 0
+
     def test_segment_ending_twice_at_a_degree_3_vertex_kept(self):
         # F is two triangles joined by the edge 2-3, D the vertex 6: each
         # degree-2 run {0, 1} and {4, 5} ends twice at one degree-3 vertex,
