@@ -34,7 +34,6 @@ from .generators import (
 )
 from .graph import (
     Graph,
-    endpoint_cycle,
     independence_number,
     load_dimacs,
     load_edge_list,

@@ -11,7 +11,8 @@ option value, or a path that cannot be opened or that verify would
 overwrite); 3 capacity refusal (in solve, or in verify with --strict); 4 a
 BOUND_VIOLATION row and 5 a SOLVER_INCONSISTENT row, both decided by
 harness.check_instance; 5 also an internal error (an invalid factor built by
-the oracle or the solver, or a non-maximal path handed to endpoint_cycle).
+the oracle or the solver, or a non-maximal path met by the solver's piece
+rule).
 """
 
 from __future__ import annotations
@@ -69,11 +70,12 @@ def _source_files(source: str) -> list[Path]:
 
 
 def _load_items(source: str):
-    """(instance_id, Graph) pairs from a manifest file or a directory of
-    graph files."""
+    """(items, files): the (instance_id, Graph) pairs of a manifest file or a
+    directory of graph files, and the ``_source_files`` they come from."""
+    files = _source_files(source)
     if Path(source).is_dir():
-        return [(child.name, read_graph_file(child)) for child in _source_files(source)]
-    return [(spec.instance_id(), spec.build()) for spec in read_manifest(source)]
+        return [(child.name, read_graph_file(child)) for child in files], files
+    return [(spec.instance_id(), spec.build()) for spec in read_manifest(source)], files
 
 
 def _slug(text: str) -> str:
@@ -153,12 +155,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    items = _load_items(args.source)
+    items, sources = _load_items(args.source)
     b_values = _parse_b_list(args.b)
     # fail on an unwritable output path before the corpus runs, with the
     # error that opening it for writing would raise; an output over an input
     # or over the other output would destroy what it overwrites
-    taken = {path.resolve() for path in _source_files(args.source)}
+    taken = {path.resolve() for path in sources}
     for out in filter(None, (args.report, args.csv)):
         if Path(out).is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)

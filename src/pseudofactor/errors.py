@@ -22,9 +22,10 @@ class ManifestError(ParseError):
 
 
 class NonMaximalPathError(ValueError):
-    """A path handed to ``endpoint_cycle`` misses a neighbor of its endpoint.
+    """The solver's piece rule met a path that misses a neighbor of the
+    endpoint it builds a cycle at.
 
-    The solver only hands it longest paths, which are maximal, so this is an
+    The rule only reads longest paths, which are maximal, so this is an
     internal fault, never the user's input.
     """
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import CapacityError, GraphParseError, NonMaximalPathError
+from .errors import CapacityError, GraphParseError
 
 Edge = tuple[int, int]
 
@@ -398,37 +398,3 @@ def longest_path(g: Graph, mask: int | None = None) -> tuple[int, ...]:
         dfs(s, mask & ~(1 << s))
     return tuple(best)
 
-
-def endpoint_cycle(g: Graph, path, mask: int | None = None):
-    """Cycle of G[mask] made of the path segment from its first endpoint u
-    to u's farthest neighbor on the path, closed by that chord.
-
-    Requires ``path`` to be maximal at u (all of u's neighbors lie on it),
-    which any longest path satisfies; a path that is not raises
-    NonMaximalPathError. Returns (vertex mask, edges); the cycle always
-    contains u and all of u's neighbors. Returns None when u has fewer than
-    two neighbors. A vertex of ``path`` outside 0..n-1 raises ValueError,
-    and so does a ``path`` that is empty, repeats a vertex, leaves ``mask``
-    or steps between non-adjacent vertices.
-    """
-    mask = vertex_mask(g, mask)
-    path = tuple(path)
-    path_mask = 0
-    for v in path:  # range check before any adj_bits read
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-        path_mask |= 1 << v
-    if (not path or path_mask.bit_count() != len(path) or path_mask & ~mask
-            or any(not g.adj_bits[v] >> w & 1 for v, w in zip(path, path[1:]))):
-        raise ValueError(f"{path} is not a path of the graph")
-    u = path[0]
-    nbrs = g.adj_bits[u] & mask
-    if nbrs.bit_count() < 2:
-        return None
-    if nbrs & ~path_mask:
-        raise NonMaximalPathError("path is not maximal at its endpoint")
-    far = max(i for i, v in enumerate(path) if nbrs >> v & 1)
-    cyc = path[: far + 1]
-    edges = tuple(norm_edge(cyc[i], cyc[i + 1]) for i in range(len(cyc) - 1))
-    edges += (norm_edge(u, cyc[-1]),)
-    return sum(1 << v for v in cyc), edges

@@ -62,11 +62,8 @@ class _BoundRow(NamedTuple):
 class BoundReport(_BoundRow):
     """One report row. Unlike the other records it keeps an instance
     ``__dict__``, so a caller can attach its own data to a row (a row timer,
-    say) without that data ever reaching the row's fields."""
-
-    def to_dict(self) -> dict:
-        # the fields only, never ``__dict__``
-        return self._asdict()
+    say) without that data ever reaching the row's fields: ``_asdict()``
+    reads the fields only."""
 
 
 CSV_FIELDS = BoundReport._fields
@@ -254,7 +251,7 @@ def _timestamp() -> str:
 def jsonl_body_lines(run: CorpusRun) -> list[str]:
     """Deterministic report body: one JSON object per row plus the summary."""
     lines = [
-        json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":"))
+        json.dumps(r._asdict(), sort_keys=True, separators=(",", ":"))
         for r in run.reports
     ]
     lines.append(json.dumps({"summary": run.summary}, sort_keys=True, separators=(",", ":")))
@@ -284,5 +281,5 @@ def write_csv(path, run: CorpusRun, generated_at: str | None = None) -> None:
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
         for report in run.reports:
-            row = report.to_dict()
+            row = report._asdict()
             writer.writerow({k: ("" if row[k] is None else row[k]) for k in CSV_FIELDS})

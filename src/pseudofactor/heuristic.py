@@ -16,8 +16,9 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
+from .errors import NonMaximalPathError
 from .factor import ComponentClass, FactorComponent, PseudoFactor
-from .graph import Edge, Graph, bits, component_masks, endpoint_cycle, norm_edge, vertex_mask
+from .graph import Edge, Graph, bits, component_masks, norm_edge, vertex_mask
 from .memo import SolveMemo
 
 #: move kinds, in the order they are tried (component-absorbing first,
@@ -73,18 +74,38 @@ def _make_state(g: Graph, f_edges, memo: SolveMemo) -> SearchState:
     return SearchState(f_edges, f_mask, d, objective)
 
 
+def _path_edges(path) -> tuple[Edge, ...]:
+    return tuple(norm_edge(path[i], path[i + 1]) for i in range(len(path) - 1))
+
+
+def _cycle_edges(vertices) -> tuple[Edge, ...]:
+    """Edges of the cycle through ``vertices`` in order, closed by the edge
+    from the last back to the first."""
+    return _path_edges(vertices) + (norm_edge(vertices[-1], vertices[0]),)
+
+
 def _first_piece(g: Graph, mask: int, memo: SolveMemo):
     """(vertex mask, edges, kind) of the piece of the nonempty vertex mask
     ``mask`` that the cover takes first. From the longest path
     ``memo.path(mask)``: the endpoint cycle at its first end (``LARGE``),
     else the one at its last end, else its last edge (``EDGE``), else its one
-    vertex (``VERTEX``). The piece holds the closed neighborhood in G[mask]
-    of the path end it is taken at. No ``FactorComponent`` is built: the
-    seed and X4 read only a cycle's edges."""
+    vertex (``VERTEX``). The endpoint cycle at an end u with at least two
+    neighbors in G[mask] runs along the path from u to u's farthest neighbor
+    on it and closes with that chord. A longest path is maximal at u, so all
+    of u's neighbors lie on it and the piece holds u's closed neighborhood in
+    G[mask]; a path that is not maximal there raises NonMaximalPathError. No
+    ``FactorComponent`` is built: the seed and X4 read only a cycle's
+    edges."""
     path = memo.path(mask)
-    cyc = endpoint_cycle(g, path, mask) or endpoint_cycle(g, path[::-1], mask)
-    if cyc is not None:
-        return cyc + (ComponentClass.LARGE,)
+    for walk in (path, path[::-1]):
+        nbrs = g.adj_bits[walk[0]] & mask
+        if nbrs.bit_count() < 2:
+            continue
+        hits = [i for i, v in enumerate(walk) if nbrs >> v & 1]
+        if len(hits) < nbrs.bit_count():
+            raise NonMaximalPathError("path is not maximal at its endpoint")
+        cyc = walk[: hits[-1] + 1]
+        return sum(1 << v for v in cyc), _cycle_edges(cyc), ComponentClass.LARGE
     if len(path) >= 2:
         e = norm_edge(path[-2], path[-1])
         return 1 << e[0] | 1 << e[1], (e,), ComponentClass.EDGE
@@ -135,10 +156,6 @@ def _path_through(g: Graph, allowed: int, src: int, dst: int) -> list[int] | Non
     return None
 
 
-def _path_edges(path: list[int]) -> tuple[Edge, ...]:
-    return tuple(norm_edge(path[i], path[i + 1]) for i in range(len(path) - 1))
-
-
 def _cycle_within(g: Graph, d: int, memo: SolveMemo):
     """The edges of a cycle inside G[d], d a vertex mask: D's first cover
     piece when it is a cycle, otherwise any cycle found by DFS. None when
@@ -175,7 +192,7 @@ def _cycle_within(g: Graph, d: int, memo: SolveMemo):
             continue
         cycle = dfs(root, -1)
         if cycle is not None:
-            return _path_edges(cycle) + (norm_edge(cycle[-1], cycle[0]),)
+            return _cycle_edges(cycle)
     return None
 
 
@@ -220,19 +237,18 @@ def _candidates(state: SearchState, g: Graph, b: int, memo: SolveMemo):
     fdeg = [a.bit_count() for a in fadj]
 
     # X6: loop two leaves of D through a shared F-neighbor (D is a component
-    # of G - F, so a neighbor of D outside D lies in F)
+    # of G - F, so a neighbor of D outside D lies in F). D is connected, so
+    # two adjacent leaves make up all of D, and otherwise the path between
+    # them runs inside D minus the two: the path search always finds one
     d_leaves = [v for v in bits(d) if (adj[v] & d).bit_count() == 1]
     for x0, y0 in itertools.combinations(d_leaves, 2):
         commons = adj[x0] & adj[y0] & ~d
         if not commons:
             continue
         p = [x0, y0] if adj[x0] >> y0 & 1 else _path_through(g, d ^ (1 << x0 | 1 << y0), x0, y0)
-        if p is None:
-            continue
-        p_edges = _path_edges(p)
         for u in bits(commons):
             if fdeg[u] <= b - 2:
-                yield ExchangeMove("X6", (norm_edge(u, x0),) + p_edges + (norm_edge(u, y0),), ())
+                yield ExchangeMove("X6", _cycle_edges([u] + p), ())
 
     # attachments: the F-vertices with a neighbor in D; their pairs are walked
     # once per kind: X2, then X1, then X3. A pair's connector, a shortest path

@@ -140,6 +140,20 @@ def test_verify_refuses_outputs_over_its_inputs(tmp_path, capsys):
     assert main(["verify", str(manifest), "-b", "4"]) == 0
 
 
+def test_verify_lists_its_sources_once(tmp_path, capsys, monkeypatch):
+    # the graphs read and the paths no output may overwrite come from one
+    # listing of the source directory
+    gdir = tmp_path / "graphs"
+    gdir.mkdir()
+    (gdir / "c5.edges").write_text("n 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+    listings = []
+    source_files = cli._source_files
+    monkeypatch.setattr(cli, "_source_files", lambda source: listings.append(source) or source_files(source))
+    assert main(["verify", str(gdir), "-b", "4", "--report", str(gdir / "c5.edges")]) == 2
+    assert main(["verify", str(gdir), "-b", "4", "--report", str(tmp_path / "r.jsonl")]) == 0
+    assert listings == [str(gdir)] * 2
+
+
 @pytest.mark.parametrize("command", ["verify", "generate"])
 @pytest.mark.parametrize("text, fault", [
     (b"cycle n=5\nfoo n=3\n",
@@ -380,8 +394,8 @@ def test_generate_keeps_manifest_order_past_999_specs(tmp_path, capsys):
     manifest.write_text("".join(f"gnp n=2 p=1 seed={i}\n" for i in range(1001)))
     out = tmp_path / "graphs"
     assert main(["generate", str(manifest), "-o", str(out)]) == 0
-    expected = [cli._slug(name) for name, _ in cli._load_items(str(manifest))]
-    names = [name for name, _ in cli._load_items(str(out))]
+    expected = [cli._slug(name) for name, _ in cli._load_items(str(manifest))[0]]
+    names = [name for name, _ in cli._load_items(str(out))[0]]
     assert [name.split("_", 1)[1].removesuffix(".edges") for name in names] == expected
     assert names[0].startswith("0000_") and names[-1].startswith("1000_")
 

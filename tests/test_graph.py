@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import all_labelled_graphs, brute_force_alpha, mask_of, neighbors, petersen, small_graphs
 from pseudofactor.errors import CapacityError, GraphParseError, NonMaximalPathError
-from pseudofactor.factor import spanning_in_range
+from pseudofactor import heuristic
+from pseudofactor.factor import ComponentClass, spanning_in_range
 from pseudofactor.generators import complete_graph, cycle_graph, gnp, path_graph
 from pseudofactor.graph import (
     DECLARED_VERTEX_LIMIT,
@@ -18,7 +19,6 @@ from pseudofactor.graph import (
     _greedy_independent,
     bits,
     component_masks,
-    endpoint_cycle,
     independence_number,
     load_dimacs,
     load_edge_list,
@@ -30,6 +30,7 @@ from pseudofactor.graph import (
     vertex_mask,
 )
 from pseudofactor.heuristic import posa_cover
+from pseudofactor.memo import SolveMemo
 
 
 # graph-file text: arbitrary strings, and lines of the formats' own tokens so
@@ -397,61 +398,56 @@ class TestLongestPath:
 
 
 class TestEndpointCycle:
+    """The solver's endpoint-cycle rule, ``heuristic._first_piece``: from an
+    end u of the longest path, the path to u's farthest neighbor on it,
+    closed by that chord."""
+
+    @staticmethod
+    def first_piece(g, path=None):
+        memo = SolveMemo(g)
+        if path is not None:
+            memo.paths[g.full_mask] = path
+        return heuristic._first_piece(g, g.full_mask, memo)
+
     def test_c5_gives_whole_cycle(self):
-        g = cycle_graph(5)
-        verts, edges = endpoint_cycle(g, longest_path(g))
+        verts, edges, kind = self.first_piece(cycle_graph(5))
         assert verts == 0b11111
         assert len(edges) == 5
+        assert kind is ComponentClass.LARGE
 
     def test_k4_contains_closed_neighborhood(self):
         g = complete_graph(4)
-        path = longest_path(g)
-        verts, edges = endpoint_cycle(g, path)
-        u = path[0]
+        verts, edges, _ = self.first_piece(g)
+        u = longest_path(g)[0]
         assert neighbors(g)[u] | {u} <= set(bits(verts))
         assert verts.bit_count() == len(edges)
 
     def test_degree_one_endpoint_signals_no_cycle(self):
-        g = complete_graph(2)
-        assert endpoint_cycle(g, (0, 1)) is None
+        assert self.first_piece(complete_graph(2)) == (0b11, ((0, 1),), ComponentClass.EDGE)
+
+    def test_last_end_when_the_first_has_one_neighbor(self):
+        # a triangle 1-2-3 with the pendant vertex 0 at 1: the path 0 1 2 3
+        # starts at a leaf, so the cycle is taken at its last end 3
+        g = Graph.build(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+        assert longest_path(g) == (0, 1, 2, 3)
+        assert self.first_piece(g) == (0b1110, ((2, 3), (1, 2), (1, 3)), ComponentClass.LARGE)
 
     def test_non_maximal_path_rejected(self):
-        g = cycle_graph(5)
-        with pytest.raises(NonMaximalPathError):
-            endpoint_cycle(g, (0, 1, 2))
-
-    @pytest.mark.parametrize("path, vertex", [((-1, 3, 2, 1, 0), -1), ((0, 4, 99, 1), 99)])
-    def test_path_vertices_range_checked(self, path, vertex):
-        # checked before any neighbor is read: -1 would read vertex 4's
-        # neighbors, and 99 would land in the returned cycle
-        with pytest.raises(ValueError, match=rf"vertex {vertex} outside 0\.\.4"):
-            endpoint_cycle(cycle_graph(5), path)
-
-    @pytest.mark.parametrize("path, mask", [
-        ((), None), ((0, 1, 0, 4), None), ((0, 2, 4, 1, 3), None),
-        ((0, 1, 2, 3, 4), 0b10011),
-    ], ids=[f"path{i}" for i in range(4)])
-    def test_non_paths_rejected(self, path, mask):
-        # empty, a repeated vertex, non-adjacent steps, vertices outside
-        # ``mask``: a plain ValueError, not the solver's internal
-        # NonMaximalPathError
-        with pytest.raises(ValueError, match="is not a path of the graph") as info:
-            endpoint_cycle(cycle_graph(5), path, mask)
-        assert type(info.value) is ValueError
+        # vertex 4, a neighbor of the end 0, is not on the path
+        with pytest.raises(NonMaximalPathError, match="not maximal"):
+            self.first_piece(cycle_graph(5), (0, 1, 2))
 
     @given(small_graphs(min_n=2))
     @settings(max_examples=60)
     def test_cycle_removal_lowers_alpha(self, g):
-        path = longest_path(g)
-        cyc = endpoint_cycle(g, path)
-        if cyc is None:
+        verts, edges, kind = self.first_piece(g)
+        if kind is not ComponentClass.LARGE:
             return
-        verts, edges = cyc
-        u = path[0]
-        assert neighbors(g)[u] | {u} <= set(bits(verts))
+        path = longest_path(g)
+        assert any(neighbors(g)[u] | {u} <= set(bits(verts)) for u in (path[0], path[-1]))
+        assert verts.bit_count() == len(edges)
         rest = set(range(g.n)) - set(bits(verts))
         assert independence_number(g, mask_of(rest)) < independence_number(g)
-
 
 class TestConnectedComponents:
     def test_whole_cycle(self):
@@ -515,7 +511,6 @@ class TestWithinRange:
         "vertex_mask": vertex_mask,
         "longest_path": longest_path,
         "independence_number": independence_number,
-        "endpoint_cycle": lambda g, m: endpoint_cycle(g, tuple(range(g.n)), m),
         "posa_cover": posa_cover,
         "spanning_in_range": lambda g, m: spanning_in_range(g, m, 4),
     }
@@ -549,16 +544,3 @@ class TestWithinRange:
         # a set is refused, never read as something else
         with pytest.raises(TypeError, match="^a vertex set is an int bitmask, not set$"):
             self.ENTRY_POINTS[entry](cycle_graph(4), {0, 1})
-
-    def test_path_range_checked_before_the_shift(self):
-        # endpoint_cycle's path is a vertex tuple: 1 << 10**8 alone would
-        # take 12 MB, so each vertex is refused before its bit is set
-        g = cycle_graph(4)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=r"^vertex 100000000 outside 0\.\.3$"):
-                endpoint_cycle(g, (0, 10**8))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20

@@ -462,12 +462,12 @@ class TestReports:
         assert lines[1] == ",".join(harness.CSV_FIELDS)
         assert lines[2].startswith("c5,5,4,2,2,0,0,0,")
 
-    def test_to_dict_reads_only_the_fields(self):
+    def test_asdict_reads_only_the_fields(self):
         report = BoundReport("x", 5, 4, 2, 2, 0, 0, 0, True, False, False, "ok")
         # an attribute set outside the fields, as a row timer would be
         object.__setattr__(report, "_row_timer", (0.0, 1.0))
-        assert report.to_dict() == dict(zip(harness.CSV_FIELDS, report))
-        assert tuple(report.to_dict()) == harness.CSV_FIELDS
+        assert report._asdict() == dict(zip(harness.CSV_FIELDS, report))
+        assert tuple(report._asdict()) == harness.CSV_FIELDS
 
     def test_summary_counts(self):
         reports = [

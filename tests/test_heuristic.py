@@ -19,7 +19,7 @@ from pseudofactor.generators import (
     path_graph,
     pendant_sharpness,
 )
-from pseudofactor.graph import Graph, bits, independence_number, longest_path, vertex_mask
+from pseudofactor.graph import Graph, bits, component_masks, independence_number, longest_path, vertex_mask
 from pseudofactor.heuristic import (
     MOVE_ORDER,
     SolveMemo,
@@ -188,6 +188,24 @@ class TestEnumerateMoves:
                         path = heuristic._path_through(g, state.d_mask, ui, uj)
                         assert path is not None, (g.edges, b, state)
                         pairs += 1
+        assert pairs > 0
+
+    def test_every_leaf_pair_has_a_loop_path(self):
+        # X6 joins two non-adjacent leaves of D by a path inside D minus the
+        # two; D is connected, so on every connected vertex mask one exists
+        pairs = 0
+        for g in all_labelled_graphs(5):
+            adj = g.adj_bits
+            for d in range(1, g.full_mask + 1):
+                if next(component_masks(adj, d)) != d:
+                    continue
+                leaves = [v for v in bits(d) if (adj[v] & d).bit_count() == 1]
+                for x0, y0 in itertools.combinations(leaves, 2):
+                    if adj[x0] >> y0 & 1:
+                        continue
+                    inner = d ^ (1 << x0 | 1 << y0)
+                    assert heuristic._path_through(g, inner, x0, y0) is not None, (g.edges, d)
+                    pairs += 1
         assert pairs > 0
 
     def test_segment_ending_twice_at_a_degree_3_vertex_kept(self):
@@ -455,8 +473,8 @@ def test_only_the_memo_calls_longest_path():
 
 
 #: the kernels that take a vertex set, as an int mask
-MASK_TAKERS = {"longest_path", "independence_number", "endpoint_cycle",
-               "spanning_in_range", "posa_cover", "_first_piece"}
+MASK_TAKERS = {"longest_path", "independence_number", "spanning_in_range",
+               "posa_cover", "_first_piece"}
 
 
 def _is_bits_call(node) -> bool:

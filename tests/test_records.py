@@ -79,7 +79,7 @@ def test_report_keeps_an_outside_attribute_through_pickling():
     copy = pickle.loads(pickle.dumps(report))
     assert copy == report
     assert copy._row_timer == (0.0, 1.0)
-    assert "_row_timer" not in copy.to_dict()
+    assert "_row_timer" not in copy._asdict()
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
