@@ -127,7 +127,7 @@ def load_edge_list(text: str) -> Graph:
     blank lines are skipped, duplicate edges collapse.
     """
     n: int | None = None
-    edges: list[Edge] = []
+    edges: set[Edge] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -152,7 +152,7 @@ def load_edge_list(text: str) -> Graph:
             raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(f"line {lineno}: vertex out of range 0..{n - 1}")
-        edges.append((u, v))
+        edges.add(norm_edge(u, v))
     if n is None:
         raise GraphParseError("missing 'n <count>' header")
     return Graph.build(n, edges)
@@ -164,7 +164,7 @@ def load_dimacs(text: str) -> Graph:
     non-negative integer but need not match the edge lines, since duplicate
     edges collapse."""
     n: int | None = None
-    edges: list[Edge] = []
+    edges: set[Edge] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -190,7 +190,7 @@ def load_dimacs(text: str) -> Graph:
                 raise GraphParseError(f"line {lineno}: vertex out of range 1..{n}")
             if u == v:
                 raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
-            edges.append((u - 1, v - 1))
+            edges.add(norm_edge(u - 1, v - 1))
         else:
             raise GraphParseError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:

@@ -17,7 +17,7 @@ import itertools
 from typing import NamedTuple
 
 from .errors import NonMaximalPathError
-from .factor import ComponentClass, FactorComponent, PseudoFactor
+from .factor import PseudoFactor
 from .graph import Edge, Graph, bits, component_masks, norm_edge, vertex_mask
 from .memo import SolveMemo
 
@@ -84,18 +84,17 @@ def _cycle_edges(vertices) -> tuple[Edge, ...]:
     return _path_edges(vertices) + (norm_edge(vertices[-1], vertices[0]),)
 
 
-def _first_piece(g: Graph, mask: int, memo: SolveMemo):
-    """(vertex mask, edges, kind) of the piece of the nonempty vertex mask
-    ``mask`` that the cover takes first. From the longest path
-    ``memo.path(mask)``: the endpoint cycle at its first end (``LARGE``),
-    else the one at its last end, else its last edge (``EDGE``), else its one
-    vertex (``VERTEX``). The endpoint cycle at an end u with at least two
-    neighbors in G[mask] runs along the path from u to u's farthest neighbor
-    on it and closes with that chord. A longest path is maximal at u, so all
-    of u's neighbors lie on it and the piece holds u's closed neighborhood in
-    G[mask]; a path that is not maximal there raises NonMaximalPathError. No
-    ``FactorComponent`` is built: the seed and X4 read only a cycle's
-    edges."""
+def _first_piece(g: Graph, mask: int, memo: SolveMemo) -> tuple[int, tuple[Edge, ...]]:
+    """(vertex mask, edges) of the piece of the nonempty vertex mask ``mask``
+    that the cover takes first. From the longest path ``memo.path(mask)``:
+    the endpoint cycle at its first end, else the one at its last end, else
+    its last edge, else its one vertex; only a cycle has three or more
+    vertices. The endpoint cycle at an end u with at least two neighbors in
+    G[mask] runs along the path from u to u's farthest neighbor on it and
+    closes with that chord. A longest path is maximal at u, so all of u's
+    neighbors lie on it and the piece holds u's closed neighborhood in
+    G[mask]; a path that is not maximal there raises NonMaximalPathError.
+    Only ``PseudoFactor.build`` classifies components."""
     path = memo.path(mask)
     for walk in (path, path[::-1]):
         nbrs = g.adj_bits[walk[0]] & mask
@@ -105,21 +104,22 @@ def _first_piece(g: Graph, mask: int, memo: SolveMemo):
         if len(hits) < nbrs.bit_count():
             raise NonMaximalPathError("path is not maximal at its endpoint")
         cyc = walk[: hits[-1] + 1]
-        return sum(1 << v for v in cyc), _cycle_edges(cyc), ComponentClass.LARGE
+        return sum(1 << v for v in cyc), _cycle_edges(cyc)
     if len(path) >= 2:
         e = norm_edge(path[-2], path[-1])
-        return 1 << e[0] | 1 << e[1], (e,), ComponentClass.EDGE
-    return 1 << path[0], (), ComponentClass.VERTEX
+        return 1 << e[0] | 1 << e[1], (e,)
+    return 1 << path[0], ()
 
 
 def initial_subgraph(g: Graph, memo: SolveMemo | None = None) -> SearchState:
-    """Seed state: G's first cover piece when it is a cycle (``LARGE``);
-    otherwise F is empty and the caller degrades to the cover alone."""
+    """Seed state: G's first cover piece when it is a cycle (three or more
+    vertices); otherwise F is empty and the caller degrades to the cover
+    alone."""
     memo = SolveMemo.of(g, memo)
     edges = ()
     if g.n:
-        _, piece_edges, kind = _first_piece(g, g.full_mask, memo)
-        if kind is ComponentClass.LARGE:
+        piece_mask, piece_edges = _first_piece(g, g.full_mask, memo)
+        if piece_mask.bit_count() >= 3:
             edges = piece_edges
     return _make_state(g, edges, memo)
 
@@ -162,8 +162,8 @@ def _cycle_within(g: Graph, d: int, memo: SolveMemo):
     G[d] is a forest."""
     if d.bit_count() < 3:
         return None
-    _, edges, kind = _first_piece(g, d, memo)
-    if kind is ComponentClass.LARGE:
+    piece_mask, edges = _first_piece(g, d, memo)
+    if piece_mask.bit_count() >= 3:
         return edges
 
     # all longest-path endpoints have degree <= 1 in d; hunt any cycle by DFS
@@ -343,9 +343,10 @@ def improve(state: SearchState, g: Graph, b: int,
 # remainder cover
 
 
-def posa_cover(g: Graph, mask: int, memo: SolveMemo | None = None) -> list[FactorComponent]:
-    """Vertex-disjoint cycles, edges and vertices partitioning the vertex
-    mask ``mask``, as ``LARGE``, ``EDGE`` and ``VERTEX`` components.
+def posa_cover(g: Graph, mask: int, memo: SolveMemo | None = None) -> tuple[Edge, ...]:
+    """Edges of vertex-disjoint cycles, edges and vertices partitioning the
+    vertex mask ``mask``: the pieces are the components of these edges
+    within ``mask``.
 
     Repeatedly takes the ``_first_piece`` of the remainder. Every piece
     holds the closed neighborhood of a vertex of the remainder, so the
@@ -354,12 +355,12 @@ def posa_cover(g: Graph, mask: int, memo: SolveMemo | None = None) -> list[Facto
     """
     memo = SolveMemo.of(g, memo)
     remaining = vertex_mask(g, mask)
-    pieces: list[FactorComponent] = []
+    edges: list[Edge] = []
     while remaining:
-        piece_mask, edges, kind = _first_piece(g, remaining, memo)
-        pieces.append(FactorComponent(tuple(bits(piece_mask)), tuple(sorted(edges)), kind))
+        piece_mask, piece_edges = _first_piece(g, remaining, memo)
+        edges += piece_edges
         remaining ^= piece_mask
-    return pieces
+    return tuple(edges)
 
 
 def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
@@ -379,12 +380,8 @@ def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     outcome = ImproveOutcome(state, ()) if fallback else improve(state, g, b, memo)
     final = outcome.state
     key = g.full_mask ^ final.f_mask
-    pieces = memo.covers.get(key)
-    if pieces is None:
-        pieces = tuple(posa_cover(g, key, memo))
-        memo.covers[key] = pieces
-    edges = set(final.f_edges)
-    for piece in pieces:
-        edges.update(piece.edges)
-    factor = PseudoFactor.build(g, edges, b)
+    cover = memo.covers.get(key)
+    if cover is None:
+        cover = memo.covers[key] = posa_cover(g, key, memo)
+    factor = PseudoFactor.build(g, final.f_edges.union(cover), b)
     return HeuristicResult(factor=factor, steps=outcome.steps, fallback=fallback)

@@ -1,15 +1,14 @@
 """One graph's searches that do not depend on b, shared by every stage and
 every b row of that graph.
 
-The memo sits below both solvers, so the exact oracle can keep its scan in it
-without importing the constructive solver. Every longest-path search of the
-solver goes through ``SolveMemo.path``.
+The memo sits below both solvers and imports only ``graph``, so the exact
+oracle can keep its scan in it without importing the constructive solver.
+Every longest-path search of the solver goes through ``SolveMemo.path``.
 """
 
 from __future__ import annotations
 
-from .factor import FactorComponent
-from .graph import Graph, independence_number, longest_path
+from .graph import Edge, Graph, independence_number, longest_path
 
 
 class SolveMemo:
@@ -18,17 +17,17 @@ class SolveMemo:
     path and the alpha of each induced subgraph met (both keyed by the mask
     of its vertex set, so the seed path and alpha(G) are the entries of the
     full set and each alpha(G - F) the entry of ``V - F``), the cover of each
-    leftover set (keyed by its mask) and the exact oracle's matching-table
-    scan (``scan``: the ``nu`` table and the candidate groups, filled by
-    ``min_small_components_exact``, whose walk sorts each group in place when
-    it first reaches it). A search that refuses stores nothing, so every call
-    that needs it is refused again."""
+    leftover set (``posa_cover``'s edge tuple, keyed by the set's mask) and
+    the exact oracle's matching-table scan (``scan``: the ``nu`` table and
+    the candidate groups, filled by ``min_small_components_exact``, whose
+    walk sorts each group in place when it first reaches it). A search that
+    refuses stores nothing, so every call that needs it is refused again."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.paths: dict[int, tuple[int, ...]] = {}
         self.alphas: dict[int, int] = {}
-        self.covers: dict[int, tuple[FactorComponent, ...]] = {}
+        self.covers: dict[int, tuple[Edge, ...]] = {}
         self.scan: tuple[list[int], list[list[int]]] | None = None
 
     @classmethod

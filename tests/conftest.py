@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pseudofactor.errors import CapacityError
 from pseudofactor.generators import gnp
-from pseudofactor.graph import Graph
+from pseudofactor.graph import Graph, component_masks
 from pseudofactor.oracle import min_small_components_exact
 
 # corpus cells: every (n, edge_prob) pair collects PER_CELL graphs with
@@ -59,6 +59,12 @@ def neighbors(g: Graph) -> list[frozenset[int]]:
         neigh[u].add(v)
         neigh[v].add(u)
     return [frozenset(s) for s in neigh]
+
+
+def cover_pieces(g: Graph, mask: int, cover) -> list[int]:
+    """The pieces of the ``posa_cover`` edge tuple ``cover``: the vertex
+    masks of the components its edges make within ``mask``."""
+    return list(component_masks(Graph.build(g.n, cover).adj_bits, mask))
 
 
 def mask_of(vertices) -> int:

@@ -216,6 +216,23 @@ def test_star_file_within_a_memory_cap(tmp_path, n, code):
         assert (header in proc.stderr) == (code == 2), proc.stderr
 
 
+@pytest.mark.parametrize("header, line", [("n 2", "0 1"), ("p edge 2 1", "e 1 2")], ids=["edges", "dimacs"])
+def test_duplicate_edge_file_within_a_memory_cap(tmp_path, header, line):
+    # an 8 MB file repeating one edge, solved in a child whose address space
+    # is capped at 256 MiB: duplicates collapse as each line is read, so the
+    # memory held does not grow with the line count
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "dup.txt"
+    path.write_text(header + "\n" + f"{line}\n" * ((8 << 20) // (len(line) + 1)))
+    cap = 256 << 20
+    env = {**os.environ, "PYTHONPATH": str(Path(pseudofactor.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pseudofactor", "solve", str(path), "-b", "4"], capture_output=True,
+        text=True, env=env, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 0, proc.stderr
+    assert "heuristic_small_count=1" in proc.stdout
+
+
 def test_solve_non_finite_family_size(capsys):
     # rejected at parse time; float("inf") used to escape as OverflowError
     assert main(["solve", "--family", "path n=inf", "-b", "4"]) == 2

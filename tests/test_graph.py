@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import all_labelled_graphs, brute_force_alpha, mask_of, neighbors, petersen, small_graphs
 from pseudofactor.errors import CapacityError, GraphParseError, NonMaximalPathError
 from pseudofactor import heuristic
-from pseudofactor.factor import ComponentClass, spanning_in_range
+from pseudofactor.factor import spanning_in_range
 from pseudofactor.generators import complete_graph, cycle_graph, gnp, path_graph
 from pseudofactor.graph import (
     DECLARED_VERTEX_LIMIT,
@@ -410,27 +410,24 @@ class TestEndpointCycle:
         return heuristic._first_piece(g, g.full_mask, memo)
 
     def test_c5_gives_whole_cycle(self):
-        verts, edges, kind = self.first_piece(cycle_graph(5))
-        assert verts == 0b11111
-        assert len(edges) == 5
-        assert kind is ComponentClass.LARGE
+        assert self.first_piece(cycle_graph(5)) == (0b11111, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
 
     def test_k4_contains_closed_neighborhood(self):
         g = complete_graph(4)
-        verts, edges, _ = self.first_piece(g)
+        verts, edges = self.first_piece(g)
         u = longest_path(g)[0]
         assert neighbors(g)[u] | {u} <= set(bits(verts))
         assert verts.bit_count() == len(edges)
 
     def test_degree_one_endpoint_signals_no_cycle(self):
-        assert self.first_piece(complete_graph(2)) == (0b11, ((0, 1),), ComponentClass.EDGE)
+        assert self.first_piece(complete_graph(2)) == (0b11, ((0, 1),))
 
     def test_last_end_when_the_first_has_one_neighbor(self):
         # a triangle 1-2-3 with the pendant vertex 0 at 1: the path 0 1 2 3
         # starts at a leaf, so the cycle is taken at its last end 3
         g = Graph.build(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
         assert longest_path(g) == (0, 1, 2, 3)
-        assert self.first_piece(g) == (0b1110, ((2, 3), (1, 2), (1, 3)), ComponentClass.LARGE)
+        assert self.first_piece(g) == (0b1110, ((2, 3), (1, 2), (1, 3)))
 
     def test_non_maximal_path_rejected(self):
         # vertex 4, a neighbor of the end 0, is not on the path
@@ -440,8 +437,8 @@ class TestEndpointCycle:
     @given(small_graphs(min_n=2))
     @settings(max_examples=60)
     def test_cycle_removal_lowers_alpha(self, g):
-        verts, edges, kind = self.first_piece(g)
-        if kind is not ComponentClass.LARGE:
+        verts, edges = self.first_piece(g)
+        if verts.bit_count() < 3:  # an edge or a vertex: no cycle
             return
         path = longest_path(g)
         assert any(neighbors(g)[u] | {u} <= set(bits(verts)) for u in (path[0], path[-1]))

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_labelled_graphs, mask_of, neighbors, small_graphs
+from conftest import all_labelled_graphs, cover_pieces, mask_of, neighbors, small_graphs
 import pseudofactor.memo as memo_module
 from pseudofactor import heuristic
-from pseudofactor.factor import ComponentClass, is_2b_subgraph, validate_pseudo_factor
+from pseudofactor.factor import is_2b_subgraph, validate_pseudo_factor
 from pseudofactor.generators import (
     complete_graph,
     cycle_graph,
@@ -20,6 +20,7 @@ from pseudofactor.generators import (
     pendant_sharpness,
 )
 from pseudofactor.graph import Graph, bits, component_masks, independence_number, longest_path, vertex_mask
+from pseudofactor.harness import verify_instance
 from pseudofactor.heuristic import (
     MOVE_ORDER,
     SolveMemo,
@@ -341,25 +342,25 @@ class TestImprove:
 class TestPosaCover:
     def test_cycle_covered_by_one_piece(self):
         g = cycle_graph(5)
-        pieces = posa_cover(g, g.full_mask)
-        assert len(pieces) == 1
-        assert pieces[0].kind is ComponentClass.LARGE
+        cover = posa_cover(g, g.full_mask)
+        assert cover_pieces(g, g.full_mask, cover) == [g.full_mask]
+        assert sorted(cover) == list(g.edges)  # the piece is the whole cycle
 
     def test_path_on_three(self):
-        pieces = posa_cover(path_graph(3), 0b111)
-        assert len(pieces) <= 2
+        g = path_graph(3)
+        assert len(cover_pieces(g, 0b111, posa_cover(g, 0b111))) <= 2
 
     def test_empty(self):
-        assert posa_cover(cycle_graph(5), 0) == []
+        assert posa_cover(cycle_graph(5), 0) == ()
 
     @given(small_graphs())
     @settings(max_examples=50, deadline=None)
     def test_piece_count_at_most_alpha(self, g):
-        pieces = posa_cover(g, g.full_mask)
+        cover = posa_cover(g, g.full_mask)
         if g.n:
-            assert len(pieces) <= independence_number(g)
-        covered = [v for piece in pieces for v in piece.vertices]
-        assert sorted(covered) == list(range(g.n))
+            assert len(cover_pieces(g, g.full_mask, cover)) <= independence_number(g)
+        # vertex-disjoint cycles, edges and vertices: a [2,2] pseudo factor
+        validate_pseudo_factor(g, cover, 2)
 
     @given(small_graphs(), st.data())
     @settings(max_examples=50, deadline=None)
@@ -400,6 +401,18 @@ class TestSolve:
                 assert summary.small_count == result.small_count
                 optimum = min_small_components_exact(g, b).optimum
                 assert optimum <= result.small_count <= independence_number(g)
+
+    @pytest.mark.parametrize("b", [4, 5, 6])
+    def test_accepts_an_x7_step(self, b):
+        # no corpus row accepts X7, so this graph pins the segment deletion:
+        # two X2 bridges grow F to 8 vertices, then deleting a degree-2
+        # segment frees a vertex without raising alpha(G - F) or |D|
+        g = Graph.build(10, [(0, 2), (0, 5), (0, 8), (0, 9), (1, 4), (1, 6), (1, 8), (1, 9),
+                             (2, 3), (2, 6), (2, 7), (4, 6), (5, 6), (7, 9)])
+        assert solve(g, b).steps == (
+            ("X2", (2, 4, 6), (2, 3, 7)), ("X2", (2, 3, 7), (2, 1, 8)), ("X7", (2, 1, 8), (2, 1, 7)))
+        report = verify_instance(g, b, mode="both", instance="x7")
+        assert (report.heuristic_value, report.oracle_optimum) == (2, 1)
 
     def test_b3_accepted(self):
         result = solve(cycle_graph(5), 3)
@@ -508,3 +521,15 @@ def test_vertex_sets_cross_as_masks():
                     within_mask_refs.append((path.name, node.lineno))
     assert unpacked == []
     assert within_mask_refs == []
+
+
+def test_only_factor_classifies_components():
+    # the solver and its memo pass plain edges and masks: PseudoFactor.build
+    # alone labels a component, and the package root only re-exports
+    users = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [getattr(node, "id", None)]
+            if {"ComponentClass", "FactorComponent"} & set(names):
+                users.add(path.name)
+    assert users == {"factor.py", "__init__.py"}
