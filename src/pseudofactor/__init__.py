@@ -14,8 +14,6 @@ from .errors import (
     ParseError,
 )
 from .factor import (
-    ComponentClass,
-    FactorComponent,
     PseudoFactor,
     factor_to_text,
     is_2b_subgraph,

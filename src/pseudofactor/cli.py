@@ -69,13 +69,12 @@ def _source_files(source: str) -> list[Path]:
             and not child.match("violation_*.edges")]
 
 
-def _load_items(source: str):
-    """(items, files): the (instance_id, Graph) pairs of a manifest file or a
-    directory of graph files, and the ``_source_files`` they come from."""
-    files = _source_files(source)
+def _load_items(source: str, files: list[Path]):
+    """The (instance_id, Graph) pairs of a manifest file or of the graph
+    files ``files`` that ``_source_files`` lists in a directory."""
     if Path(source).is_dir():
-        return [(child.name, read_graph_file(child)) for child in files], files
-    return [(spec.instance_id(), spec.build()) for spec in read_manifest(source)], files
+        return [(child.name, read_graph_file(child)) for child in files]
+    return [(spec.instance_id(), spec.build()) for spec in read_manifest(source)]
 
 
 def _slug(text: str) -> str:
@@ -155,9 +154,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    items, sources = _load_items(args.source)
     b_values = _parse_b_list(args.b)
-    # fail on an unwritable output path before the corpus runs, with the
+    sources = _source_files(args.source)
+    # fail on an unwritable output path before any graph is built, with the
     # error that opening it for writing would raise; an output over an input
     # or over the other output would destroy what it overwrites
     taken = {path.resolve() for path in sources}
@@ -175,6 +174,7 @@ def _cmd_verify(args) -> int:
         repro = Path(args.reproducer_dir)
         if not next(p for p in (repro, *repro.parents) if p.exists()).is_dir():
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), args.reproducer_dir)
+    items = _load_items(args.source, sources)
     run = run_corpus(items, b_values, mode=args.mode, jobs=args.jobs)
     if args.report:
         write_jsonl(args.report, run)

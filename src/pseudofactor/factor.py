@@ -1,5 +1,5 @@
-"""Pseudo factors: component classification, validation, and the degree-window
-spanning-subgraph decision.
+"""Pseudo factors: validation and the degree-window spanning-subgraph
+decision.
 
 A pseudo [2,b]-factor is a spanning subgraph in which every component on at
 least three vertices has all internal degrees in [2, b]; the remaining
@@ -9,7 +9,6 @@ quantity this package minimizes and bounds).
 
 from __future__ import annotations
 
-import enum
 import itertools
 from typing import NamedTuple
 
@@ -20,25 +19,15 @@ from .graph import Edge, Graph, bits, component_masks, norm_edge, vertex_mask
 SPANNING_LIMIT = 20
 
 
-class ComponentClass(enum.Enum):
-    LARGE = "large"   # >= 3 vertices, all degrees in [2, b]
-    EDGE = "edge"     # exactly one chosen edge
-    VERTEX = "vertex"  # isolated in the factor
-
-
-class FactorComponent(NamedTuple):
-    vertices: tuple[int, ...]
-    edges: tuple[Edge, ...]
-    kind: ComponentClass
-
-
 class PseudoFactor(NamedTuple):
     """A validated pseudo [2,b]-factor: a graph, a chosen edge subset, and the
-    classified components of the spanning subgraph they induce."""
+    vertex masks of the components of the spanning subgraph they induce, by
+    smallest member. A component is small when it has fewer than three
+    vertices."""
 
     graph: Graph
     edges: tuple[Edge, ...]
-    components: tuple[FactorComponent, ...]
+    components: tuple[int, ...]
     b: int
 
     @classmethod
@@ -58,42 +47,30 @@ class PseudoFactor(NamedTuple):
                 raise FactorError(f"chosen edge {e} is not an edge of the graph")
             chosen.append(e)
         f = Graph.build(g.n, chosen)
-        chosen_edges, adj_bits = f.edges, f.adj_bits
-
-        components: list[FactorComponent] = []
-        for mask in component_masks(adj_bits, g.full_mask):
-            comp = tuple(bits(mask))
-            if len(comp) == 1:
-                kind, comp_edges = ComponentClass.VERTEX, ()
-            elif len(comp) == 2:
-                kind, comp_edges = ComponentClass.EDGE, (comp,)  # its one edge
-            else:
-                kind = ComponentClass.LARGE
-                comp_edges = tuple(e for e in chosen_edges if mask >> e[0] & 1)
-                for v in comp:
-                    d = adj_bits[v].bit_count()
-                    if d < 2 or d > b:
-                        raise FactorError(
-                            f"component {comp}: vertex {v} has degree {d}, "
-                            f"outside [2, {b}]",
-                            component=comp,
-                            vertex=v,
-                        )
-            components.append(FactorComponent(comp, comp_edges, kind))
-        return cls(graph=g, edges=chosen_edges, components=tuple(components), b=b)
+        components = tuple(component_masks(f.adj_bits, g.full_mask))
+        for mask in components:
+            if mask.bit_count() < 3:
+                continue
+            for v in bits(mask):
+                d = f.adj_bits[v].bit_count()
+                if d < 2 or d > b:
+                    comp = tuple(bits(mask))
+                    raise FactorError(
+                        f"component {comp}: vertex {v} has degree {d}, outside [2, {b}]",
+                        component=comp,
+                        vertex=v,
+                    )
+        return cls(graph=g, edges=f.edges, components=components, b=b)
 
     @property
     def small_count(self) -> int:
-        return sum(1 for c in self.components if c.kind is not ComponentClass.LARGE)
-
-    @property
-    def large_count(self) -> int:
-        return sum(1 for c in self.components if c.kind is ComponentClass.LARGE)
+        return sum(1 for mask in self.components if mask.bit_count() < 3)
 
     def __repr__(self):
+        small = self.small_count
         return (
             f"PseudoFactor(n={self.graph.n}, chosen={len(self.edges)}, "
-            f"small={self.small_count}, large={self.large_count}, b={self.b})"
+            f"small={small}, large={len(self.components) - small}, b={self.b})"
         )
 
 
@@ -206,9 +183,9 @@ def factor_to_text(pf: PseudoFactor) -> str:
     """One line per component:
     ``component <k>: class=<large|edge|vertex> vertices=<list> edges=<list>``."""
     lines = []
-    for k, comp in enumerate(pf.components):
-        vs = ",".join(str(v) for v in comp.vertices)
-        es = ",".join(f"{u}-{v}" for u, v in comp.edges)
-        lines.append(f"component {k}: class={comp.kind.value} vertices={vs} edges={es}")
+    for k, mask in enumerate(pf.components):
+        label = {1: "vertex", 2: "edge"}.get(mask.bit_count(), "large")
+        vs = ",".join(str(v) for v in bits(mask))
+        es = ",".join(f"{u}-{v}" for u, v in pf.edges if mask >> u & 1)
+        lines.append(f"component {k}: class={label} vertices={vs} edges={es}")
     return "\n".join(lines)
-

@@ -12,6 +12,7 @@ documented limits instead of ever returning an approximate answer.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 from .errors import CapacityError, GraphParseError
@@ -126,9 +127,14 @@ def load_edge_list(text: str) -> Graph:
     edges; every other significant line is ``u v``. ``#`` starts a comment,
     blank lines are skipped, duplicate edges collapse.
     """
+    return _edge_list(text.splitlines())
+
+
+def _edge_list(lines) -> Graph:
+    """``load_edge_list`` over an iterable of lines."""
     n: int | None = None
     edges: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -163,9 +169,14 @@ def load_dimacs(text: str) -> Graph:
     lines with 1-based vertices (converted to 0-based). ``m`` must be a
     non-negative integer but need not match the edge lines, since duplicate
     edges collapse."""
+    return _dimacs(text.splitlines())
+
+
+def _dimacs(lines) -> Graph:
+    """``load_dimacs`` over an iterable of lines."""
     n: int | None = None
     edges: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -198,26 +209,46 @@ def load_dimacs(text: str) -> Graph:
     return Graph.build(n, edges)
 
 
+def _parse_lines(lines) -> Graph:
+    """Parse ``lines`` in one pass, holding only those up to the first significant one."""
+    lines, head, parse = iter(lines), [], _edge_list
+    for raw in lines:
+        head.append(raw)
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            if line.split()[0] in ("p", "c", "e"):
+                parse = _dimacs
+            break
+    return parse(itertools.chain(head, lines))
+
+
 def load_graph_text(text: str) -> Graph:
     """Parse a graph file, detecting the format from its first significant line."""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head = line.split()[0]
-        if head in ("p", "c", "e"):
-            return load_dimacs(text)
-        break
-    return load_edge_list(text)
+    return _parse_lines(text.splitlines())
+
+
+def _file_lines(fh):
+    """The lines of the UTF-8 text in binary file ``fh``, as ``str.splitlines()``
+    splits it; a line ends in ``\\n``, never inside a character, so it decodes alone."""
+    offset = 0
+    for raw in fh:
+        try:
+            yield from raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            start, end = offset + exc.start, offset + exc.end
+            where = (f"byte 0x{raw[exc.start]:02x} in position {start}" if end - start == 1
+                     else f"bytes in position {start}-{end - 1}")
+            raise GraphParseError(f"'utf-8' codec can't decode {where}: {exc.reason}") from None
+        offset += len(raw)
 
 
 def read_graph_file(path) -> Graph:
-    """Parse the graph file at ``path``; a parse error, or text that is not
-    UTF-8, raises GraphParseError naming the file."""
+    """Parse the graph file at ``path`` as ``load_graph_text`` parses its text, a line at a
+    time; a parse error, or a byte that is not UTF-8, raises GraphParseError naming the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return load_graph_text(fh.read())
-    except (GraphParseError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            return _parse_lines(_file_lines(fh))
+    except GraphParseError as exc:
         raise GraphParseError(f"{path}: {exc}") from None
 
 

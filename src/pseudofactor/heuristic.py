@@ -93,8 +93,7 @@ def _first_piece(g: Graph, mask: int, memo: SolveMemo) -> tuple[int, tuple[Edge,
     G[mask] runs along the path from u to u's farthest neighbor on it and
     closes with that chord. A longest path is maximal at u, so all of u's
     neighbors lie on it and the piece holds u's closed neighborhood in
-    G[mask]; a path that is not maximal there raises NonMaximalPathError.
-    Only ``PseudoFactor.build`` classifies components."""
+    G[mask]; a path that is not maximal there raises NonMaximalPathError."""
     path = memo.path(mask)
     for walk in (path, path[::-1]):
         nbrs = g.adj_bits[walk[0]] & mask
@@ -157,17 +156,17 @@ def _path_through(g: Graph, allowed: int, src: int, dst: int) -> list[int] | Non
 
 
 def _cycle_within(g: Graph, d: int, memo: SolveMemo):
-    """The edges of a cycle inside G[d], d a vertex mask: D's first cover
-    piece when it is a cycle, otherwise any cycle found by DFS. None when
-    G[d] is a forest."""
+    """The edges of a cycle inside G[d], d the vertex mask of a connected
+    subgraph: D's first cover piece when it is a cycle, otherwise any cycle
+    found by DFS. None when G[d] is a forest (a tree)."""
     if d.bit_count() < 3:
         return None
     piece_mask, edges = _first_piece(g, d, memo)
     if piece_mask.bit_count() >= 3:
         return edges
 
-    # all longest-path endpoints have degree <= 1 in d; hunt any cycle by DFS
-    done: set[int] = set()
+    # all longest-path endpoints have degree <= 1 in d; d is connected, so one
+    # DFS from its lowest vertex sees every edge; a finished neighbour is a child
     on_path: dict[int, int] = {}
     stack_path: list[int] = []
 
@@ -175,7 +174,7 @@ def _cycle_within(g: Graph, d: int, memo: SolveMemo):
         on_path[v] = len(stack_path)
         stack_path.append(v)
         for w in bits(g.adj_bits[v] & d):
-            if w == parent_v or w in done:
+            if w == parent_v:
                 continue
             if w in on_path:
                 return stack_path[on_path[w]:]
@@ -184,16 +183,10 @@ def _cycle_within(g: Graph, d: int, memo: SolveMemo):
                 return found
         stack_path.pop()
         del on_path[v]
-        done.add(v)
         return None
 
-    for root in bits(d):
-        if root in done:
-            continue
-        cycle = dfs(root, -1)
-        if cycle is not None:
-            return _cycle_edges(cycle)
-    return None
+    cycle = dfs((d & -d).bit_length() - 1, -1)
+    return None if cycle is None else _cycle_edges(cycle)
 
 
 def _deletable_segments(state: SearchState, fadj):

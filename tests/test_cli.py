@@ -14,7 +14,7 @@ import pseudofactor.harness as harness
 import pseudofactor.memo as memo_module
 from pseudofactor.cli import main
 from pseudofactor.errors import FactorError
-from pseudofactor.generators import gnp
+from pseudofactor.generators import FamilySpec, gnp
 from pseudofactor.graph import load_edge_list, to_edge_list
 from pseudofactor.heuristic import solve
 from pseudofactor.oracle import OracleResult, min_small_components_exact
@@ -43,6 +43,32 @@ def test_solve_graph_file(tmp_path, capsys):
     path.write_text("n 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
     assert main(["solve", str(path), "-b", "4", "--mode", "oracle"]) == 0
     assert "oracle_optimum=0" in capsys.readouterr().out
+
+
+def test_solve_output_is_pinned(tmp_path, capsys):
+    # a triangle plus a K_{1,3}: the oracle witness and the solver factor
+    # each print a large, an edge and a vertex component line
+    path = tmp_path / "tk13.edges"
+    path.write_text("n 7\n0 1\n1 2\n0 2\n3 4\n3 5\n3 6\n")
+    assert main(["solve", str(path), "-b", "4"]) == 0
+    assert capsys.readouterr().out == (
+        f"instance: {path}\n"
+        "n=7 m=6\n"
+        "delta=1 alpha=4 b=4\n"
+        "theorem_bound=4\n"
+        "oracle_optimum=3\n"
+        "oracle witness:\n"
+        "component 0: class=large vertices=0,1,2 edges=0-1,0-2,1-2\n"
+        "component 1: class=edge vertices=3,4 edges=3-4\n"
+        "component 2: class=vertex vertices=5 edges=\n"
+        "component 3: class=vertex vertices=6 edges=\n"
+        "heuristic_small_count=3\n"
+        "heuristic factor:\n"
+        "component 0: class=large vertices=0,1,2 edges=0-1,0-2,1-2\n"
+        "component 1: class=edge vertices=3,5 edges=3-5\n"
+        "component 2: class=vertex vertices=4 edges=\n"
+        "component 3: class=vertex vertices=6 edges=\n"
+    )
 
 
 def test_solve_missing_input(capsys):
@@ -103,6 +129,22 @@ def test_verify_checks_output_paths_first(tmp_path, capsys, monkeypatch):
         assert main(["verify", str(manifest), "-b", "4", flag, str(path)]) == 2
         assert "error:" in capsys.readouterr().err
     assert calls == []
+
+
+def test_verify_fails_before_building_graphs(tmp_path, capsys, monkeypatch):
+    # a bad b list or an unwritable report is refused before any graph of
+    # the manifest is built
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("cycle n=5\n")
+    builds = []
+    build = FamilySpec.build
+    monkeypatch.setattr(FamilySpec, "build", lambda spec: builds.append(spec) or build(spec))
+    for options in (["-b", "1"], ["-b", "4", "--report", str(tmp_path)]):
+        assert main(["verify", str(manifest), *options]) == 2, options
+        assert capsys.readouterr().err.startswith("error: ")
+    assert builds == []
+    assert main(["verify", str(manifest), "-b", "4"]) == 0
+    assert len(builds) == 1
 
 
 def test_verify_refuses_outputs_over_its_inputs(tmp_path, capsys):
@@ -216,14 +258,23 @@ def test_star_file_within_a_memory_cap(tmp_path, n, code):
         assert (header in proc.stderr) == (code == 2), proc.stderr
 
 
-@pytest.mark.parametrize("header, line", [("n 2", "0 1"), ("p edge 2 1", "e 1 2")], ids=["edges", "dimacs"])
-def test_duplicate_edge_file_within_a_memory_cap(tmp_path, header, line):
-    # an 8 MB file repeating one edge, solved in a child whose address space
-    # is capped at 256 MiB: duplicates collapse as each line is read, so the
-    # memory held does not grow with the line count
+@pytest.mark.parametrize("header, line, size_mb", [
+    pytest.param("n 2", "0 1", 8, id="edges"),
+    pytest.param("p edge 2 1", "e 1 2", 8, id="dimacs"),
+    pytest.param("n 2", "0 1", 32, id="edges-32mb"),
+    pytest.param("p edge 2 1", "e 1 2", 32, id="dimacs-32mb"),
+])
+def test_duplicate_edge_file_within_a_memory_cap(tmp_path, header, line, size_mb):
+    # a file repeating one edge, solved in a child whose address space is
+    # capped at 256 MiB: the file is read a line at a time and duplicates
+    # collapse as each line is read, so the memory held does not grow with
+    # the file's size
     resource = pytest.importorskip("resource")
     path = tmp_path / "dup.txt"
-    path.write_text(header + "\n" + f"{line}\n" * ((8 << 20) // (len(line) + 1)))
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        for _ in range(size_mb):
+            fh.write(f"{line}\n" * ((1 << 20) // (len(line) + 1)))
     cap = 256 << 20
     env = {**os.environ, "PYTHONPATH": str(Path(pseudofactor.__file__).parents[1])}
     proc = subprocess.run(
@@ -411,8 +462,8 @@ def test_generate_keeps_manifest_order_past_999_specs(tmp_path, capsys):
     manifest.write_text("".join(f"gnp n=2 p=1 seed={i}\n" for i in range(1001)))
     out = tmp_path / "graphs"
     assert main(["generate", str(manifest), "-o", str(out)]) == 0
-    expected = [cli._slug(name) for name, _ in cli._load_items(str(manifest))[0]]
-    names = [name for name, _ in cli._load_items(str(out))[0]]
+    expected = [cli._slug(name) for name, _ in cli._load_items(str(manifest), [manifest])]
+    names = [name for name, _ in cli._load_items(str(out), cli._source_files(str(out)))]
     assert [name.split("_", 1)[1].removesuffix(".edges") for name in names] == expected
     assert names[0].startswith("0000_") and names[-1].startswith("1000_")
 

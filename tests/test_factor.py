@@ -8,7 +8,6 @@ from conftest import neighbors, small_graphs
 from pseudofactor.errors import CapacityError, FactorError
 from pseudofactor.factor import (
     SPANNING_LIMIT,
-    ComponentClass,
     PseudoFactor,
     factor_to_text,
     is_2b_subgraph,
@@ -16,7 +15,7 @@ from pseudofactor.factor import (
     validate_pseudo_factor,
 )
 from pseudofactor.generators import complete_graph, cycle_graph, gnp, path_graph
-from pseudofactor.graph import Graph
+from pseudofactor.graph import Graph, bits
 
 
 def brute_force_feasible(g, s, b):
@@ -79,13 +78,13 @@ class TestValidate:
     def test_cycle_is_one_large_component(self):
         g = cycle_graph(5)
         summary = validate_pseudo_factor(g, g.edges, 4)
-        assert (summary.small_count, summary.large_count) == (0, 1)
+        assert (summary.small_count, summary.components) == (0, (0b11111,))
 
     def test_edge_plus_vertex(self):
         g = path_graph(3)
         summary = validate_pseudo_factor(g, [(0, 1)], 4)
         assert summary.small_count == 2
-        assert summary.large_count == 0
+        assert summary.components == (0b011, 0b100)
 
     def test_degree_one_in_large_component(self):
         g = path_graph(3)
@@ -130,17 +129,23 @@ class TestValidate:
             return
         pf = PseudoFactor.build(g, picked, b)
         assert pf.edges == tuple(chosen)
-        assert [c.vertices for c in pf.components] == comps
-        kinds = {1: ComponentClass.VERTEX, 2: ComponentClass.EDGE}
-        for c in pf.components:
-            assert c.edges == tuple(e for e in chosen if e[0] in c.vertices and e[1] in c.vertices)
-            assert c.kind is kinds.get(len(c.vertices), ComponentClass.LARGE)
+        assert [tuple(bits(c)) for c in pf.components] == comps
+        assert pf.small_count == sum(len(c) < 3 for c in comps)
+        kinds = {1: "vertex", 2: "edge"}
+        assert factor_to_text(pf).splitlines() == [
+            f"component {k}: class={kinds.get(len(c), 'large')} vertices={','.join(map(str, c))} "
+            f"edges={','.join(f'{u}-{v}' for u, v in chosen if u in c and v in c)}"
+            for k, c in enumerate(comps)
+        ]
 
     def test_component_classification(self):
         g = Graph.build(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
         pf = PseudoFactor.build(g, [(0, 1), (1, 2), (0, 2), (3, 4)], 4)
-        kinds = [c.kind for c in pf.components]
-        assert kinds == [ComponentClass.LARGE, ComponentClass.EDGE, ComponentClass.VERTEX]
+        # a component's class follows from its vertex count alone
+        assert pf.components == (0b000111, 0b011000, 0b100000)
+        assert pf.small_count == 2
+        kinds = [line.split()[2] for line in factor_to_text(pf).splitlines()]
+        assert kinds == ["class=large", "class=edge", "class=vertex"]
 
 
 class TestIs2bSubgraph:

@@ -1,6 +1,9 @@
 import itertools
+import os
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from pseudofactor.graph import (
     longest_path,
     min_degree,
     norm_edge,
+    read_graph_file,
     to_edge_list,
     vertex_mask,
 )
@@ -156,6 +160,53 @@ class TestParsing:
                 load(text)
             except GraphParseError:
                 pass
+
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(_GRAPH_TOKENS), max_size=5).map(" ".join),
+                              st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"])), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_file_parses_as_its_text(self, lines):
+        # a file is read a line at a time, yet gives the graph, or the error
+        # with its line number, that parsing its whole text gives
+        text = "".join(line + brk for line, brk in lines)
+
+        def outcome(load, source):
+            try:
+                g = load(source)
+            except GraphParseError as exc:
+                return str(exc)
+            return g.n, g.edges
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.txt"
+            path.write_text(text, encoding="utf-8", newline="")
+            expected = outcome(load_graph_text, text)
+            if isinstance(expected, str):
+                expected = f"{path}: {expected}"
+            assert outcome(read_graph_file, path) == expected
+
+    @pytest.mark.parametrize("tail", [b"\xff\n", b"1 \xe2\x82\n", b"\xe2\x82"],
+                             ids=["bad-byte", "bad-continuation", "truncated-at-end"])
+    def test_decode_error_gives_its_file_position(self, tmp_path, tail):
+        # past the first 8 KiB, as parsing the file's whole decoded text would
+        data = b"n 2\n" + b"0 1\n" * 5000 + tail
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        path = tmp_path / "g.edges"
+        path.write_bytes(data)
+        with pytest.raises(GraphParseError) as exc:
+            read_graph_file(path)
+        assert str(exc.value) == f"{path}: {whole.value}"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read(self):
+        # a pipe cannot seek, and is parsed in the same single pass as a file
+        r, w = os.pipe()
+        try:
+            os.write(w, b"c a pipe\np edge 2 1\ne 1 2\n")
+            os.close(w)
+            assert read_graph_file(f"/dev/fd/{r}").edges == ((0, 1),)
+        finally:
+            os.close(r)
 
     @given(small_graphs(max_n=12))
     @settings(max_examples=100, deadline=None)

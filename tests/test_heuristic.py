@@ -286,6 +286,30 @@ class TestEnumerateMoves:
             if state is None:
                 break
 
+    def test_cycle_within_finds_one_cycle_exactly_off_forests(self):
+        # every connected vertex mask d of every labelled graph on <= 5
+        # vertices: X4's cycle is the edges of one cycle inside G[d], and
+        # there is one exactly when G[d] is not a forest (a tree, d being
+        # connected); some d reach the DFS past a non-cycle first piece
+        fallbacks = 0
+        for g in all_labelled_graphs(5):
+            memo = SolveMemo(g)
+            for d in range(1, 1 << g.n):
+                if next(component_masks(g.adj_bits, d)) != d:
+                    continue
+                inside = {e for e in g.edges if d >> e[0] & 1 and d >> e[1] & 1}
+                cycle = heuristic._cycle_within(g, d, memo)
+                if len(inside) == d.bit_count() - 1:
+                    assert cycle is None, (g.edges, d)
+                    continue
+                assert cycle and len(set(cycle)) == len(cycle) and set(cycle) <= inside, (g.edges, d)
+                on_cycle = mask_of(v for e in cycle for v in e)
+                f = Graph.build(g.n, cycle)
+                assert all(f.adj_bits[v].bit_count() == 2 for v in bits(on_cycle)), (g.edges, d)
+                assert next(component_masks(f.adj_bits, on_cycle)) == on_cycle, (g.edges, d)
+                fallbacks += heuristic._first_piece(g, d, memo)[0].bit_count() < 3
+        assert fallbacks > 0
+
 
 class TestImprove:
     def test_cycle_unchanged(self):
@@ -521,15 +545,3 @@ def test_vertex_sets_cross_as_masks():
                     within_mask_refs.append((path.name, node.lineno))
     assert unpacked == []
     assert within_mask_refs == []
-
-
-def test_only_factor_classifies_components():
-    # the solver and its memo pass plain edges and masks: PseudoFactor.build
-    # alone labels a component, and the package root only re-exports
-    users = set()
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [getattr(node, "id", None)]
-            if {"ComponentClass", "FactorComponent"} & set(names):
-                users.add(path.name)
-    assert users == {"factor.py", "__init__.py"}

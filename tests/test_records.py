@@ -31,7 +31,6 @@ def _samples() -> dict:
     run = run_corpus([("join", g)], [4], mode="both")
     return {
         "Graph": g,
-        "FactorComponent": result.factor.components[0],
         "PseudoFactor": result.factor,
         "FamilySpec": spec,
         "OracleResult": min_small_components_exact(g, 4),
