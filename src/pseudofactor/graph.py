@@ -23,6 +23,10 @@ Edge = tuple[int, int]
 INDEPENDENCE_LIMIT = 40
 #: largest vertex count accepted by the exhaustive longest-path search
 LONGEST_PATH_LIMIT = 18
+#: most branching steps (DFS nodes with two or more extensions) one
+#: longest-path search may take; the count, not the clock, decides, so a
+#: refusal is the same on every host and at any worker count
+LONGEST_PATH_STEPS = 1 << 20
 #: largest vertex count a graph file may declare; checked before any
 #: per-vertex allocation. Far above every exact routine's limit, and low
 #: enough that a graph's n adjacency masks, up to n bits each, stay small
@@ -371,7 +375,9 @@ def longest_path(g: Graph, mask: int | None = None) -> tuple[int, ...]:
     and a subtree that a valid bound prunes holds no strictly longer path,
     so ``best`` changes at the same paths either way. Start vertices stop
     once ``best`` spans a largest component. Exponential; refuses instances
-    above LONGEST_PATH_LIMIT vertices, and ``vertex_mask`` checks ``mask``.
+    above LONGEST_PATH_LIMIT vertices, and a search that passes
+    LONGEST_PATH_STEPS branching steps (read at call time), with
+    CapacityError; ``vertex_mask`` checks ``mask``.
     """
     mask = vertex_mask(g, mask)
     k = mask.bit_count()
@@ -380,11 +386,13 @@ def longest_path(g: Graph, mask: int | None = None) -> tuple[int, ...]:
     if k > LONGEST_PATH_LIMIT:
         raise CapacityError(f"longest-path search limited to {LONGEST_PATH_LIMIT} vertices, got {k}")
     adj = g.adj_bits
+    budget = LONGEST_PATH_STEPS
+    steps = 0
     best: list[int] = []
     path: list[int] = []
 
     def dfs(v: int, avail: int):
-        nonlocal best
+        nonlocal best, steps
         if len(path) > len(best):
             best = list(path)
         ext = adj[v] & avail
@@ -395,6 +403,11 @@ def longest_path(g: Graph, mask: int | None = None) -> tuple[int, ...]:
         # A forced step (one extension) skips the bound: its child's own
         # bound is no weaker
         if ext & (ext - 1):
+            steps += 1
+            if steps > budget:
+                raise CapacityError(
+                    f"longest-path search limited to {budget} branching steps, on {k} vertices"
+                )
             # one walk builds the reach R and the vertices with at least one
             # (once) and at least two (twice) neighbours in R + v
             reach = frontier = ext

@@ -10,6 +10,7 @@ from test_harness import spy_full_graph
 
 import pseudofactor
 import pseudofactor.cli as cli
+import pseudofactor.graph as graph_module
 import pseudofactor.harness as harness
 import pseudofactor.memo as memo_module
 from pseudofactor.cli import main
@@ -443,6 +444,17 @@ def test_solve_refusal_output(capsys, spec, mode, stages, refusal):
     captured = capsys.readouterr()
     assert captured.out == f"instance: {spec}\n{stages}"
     assert captured.err == f"error: {refusal}\n"
+
+
+def test_solve_refuses_a_path_search_past_its_step_budget(capsys, monkeypatch):
+    # the solver's first path search on K_3 joined to 6 disjoint edges takes
+    # 91,299 branching steps; under a budget of 4,096 solve prints the
+    # stages before the search, then the refusal, and exits 3
+    monkeypatch.setattr(graph_module, "LONGEST_PATH_STEPS", 1 << 12)
+    assert main(["solve", "--family", "join h=3 p=6", "-b", "4", "--mode", "heuristic"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "instance: join h=3 p=6\nn=15 m=45\ndelta=4 alpha=6 b=4\ntheorem_bound=0\n"
+    assert captured.err == "error: longest-path search limited to 4096 branching steps, on 15 vertices\n"
 
 
 def test_generate_round_trip(tmp_path, capsys):

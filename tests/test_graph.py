@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pseudofactor.graph as graph_module
 from conftest import all_labelled_graphs, brute_force_alpha, mask_of, neighbors, petersen, small_graphs
 from pseudofactor.errors import CapacityError, GraphParseError, NonMaximalPathError
 from pseudofactor import heuristic
 from pseudofactor.factor import spanning_in_range
-from pseudofactor.generators import complete_graph, cycle_graph, gnp, path_graph
+from pseudofactor.generators import complete_graph, cycle_graph, gnp, join_sharpness, path_graph
 from pseudofactor.graph import (
     DECLARED_VERTEX_LIMIT,
     INDEPENDENCE_LIMIT,
@@ -406,6 +407,40 @@ class TestLongestPath:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             longest_path(Graph.build(0, []))
+
+    def test_step_budget(self, monkeypatch):
+        # the budget counts branching steps only and is read at call time: a
+        # path never branches, so it needs none; K_1 joined to 4 disjoint
+        # edges has no Hamiltonian path, so its search branches, and one step
+        # fewer than it takes is refused
+        g = join_sharpness(complete_graph(1), 4)
+        want = longest_path(g)
+        monkeypatch.setattr(graph_module, "LONGEST_PATH_STEPS", 0)
+        assert longest_path(path_graph(LONGEST_PATH_LIMIT)) == tuple(range(LONGEST_PATH_LIMIT))
+        need = 0
+        while True:
+            monkeypatch.setattr(graph_module, "LONGEST_PATH_STEPS", need)
+            try:
+                assert longest_path(g) == want
+                break
+            except CapacityError as exc:
+                assert str(exc) == f"longest-path search limited to {need} branching steps, on 9 vertices"
+                need += 1
+        assert need > 0
+
+    def test_memo_stores_no_refusal(self, monkeypatch):
+        # a refused search leaves the memo as it was, so the next call
+        # searches again
+        g = join_sharpness(complete_graph(1), 4)
+        memo = SolveMemo(g)
+        with monkeypatch.context() as low:
+            low.setattr(graph_module, "LONGEST_PATH_STEPS", 0)
+            for _ in range(2):
+                with pytest.raises(CapacityError, match="branching steps"):
+                    memo.path(g.full_mask)
+                assert memo.paths == {}
+        assert memo.path(g.full_mask) == longest_path(g)
+        assert memo.paths == {g.full_mask: longest_path(g)}
 
     @given(small_graphs())
     @settings(max_examples=60)

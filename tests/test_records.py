@@ -1,6 +1,7 @@
 """The package's records are NamedTuples: immutable, picklable (the process
 pool sends graphs and report rows between processes), and built without
-``dataclasses``, so importing the package stays cheap."""
+``dataclasses``, so importing the package stays cheap. Loading graphs
+imports none of the solver modules."""
 
 import os
 import pickle
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_perfbench_spans import SPANS, _load
 
 import pseudofactor
 from pseudofactor import heuristic
@@ -18,6 +20,7 @@ from pseudofactor.memo import SolveMemo
 from pseudofactor.oracle import min_small_components_exact
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SOLVER_MODULES = {f"pseudofactor.{name}" for name in ("factor", "memo", "oracle", "heuristic", "harness")}
 
 
 def _samples() -> dict:
@@ -48,8 +51,9 @@ SAMPLES = _samples()
 
 
 def test_every_exported_record_has_a_sample():
-    exported = {name for name, obj in vars(pseudofactor).items()
-                if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")}
+    exported = {name for name in pseudofactor.__all__
+                if isinstance(obj := getattr(pseudofactor, name), type)
+                and issubclass(obj, tuple) and hasattr(obj, "_fields")}
     assert exported
     assert exported <= set(SAMPLES)
 
@@ -81,13 +85,36 @@ def test_report_keeps_an_outside_attribute_through_pickling():
     assert "_row_timer" not in copy._asdict()
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # the modules that the import adds to those a bare interpreter of the
-    # same Python starts with, so start-up imports never count against it
-    probe = ("import sys; bare = set(sys.modules); import pseudofactor.cli; "
-             "print(*sorted(set(sys.modules) - bare))")
+def _added_modules(statement: str) -> set[str]:
+    """The modules ``statement`` adds, in a fresh interpreter, to those a
+    bare interpreter of the same Python starts with, so start-up imports
+    never count against it."""
+    probe = f"import sys; bare = set(sys.modules); {statement}; print(*sorted(set(sys.modules) - bare))"
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(SRC)),
                          capture_output=True, text=True, check=True)
-    added = set(out.stdout.split())
+    return set(out.stdout.split())
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    added = _added_modules("import pseudofactor.cli")
     assert "pseudofactor.harness" in added
     assert not {"dataclasses", "inspect"} & added
+
+
+@pytest.mark.parametrize("statement", [
+    "import pseudofactor",
+    "import pseudofactor.generators",
+    "from pseudofactor.graph import read_graph_file",
+])
+def test_loading_graphs_imports_no_solver_module(statement):
+    added = _added_modules(statement)
+    assert "pseudofactor.graph" in added
+    assert not SOLVER_MODULES & added
+
+
+def test_harness_import_loads_every_traced_module(monkeypatch):
+    # the traced benchmark run imports the harness, then looks each traced
+    # module up in sys.modules; the generators come with the package root
+    traced = {module for _, module, _ in _load("perfbench_spans", SPANS, monkeypatch).TRACED}
+    assert SOLVER_MODULES - {"pseudofactor.memo"} <= traced
+    assert traced <= _added_modules("from pseudofactor import harness")
