@@ -317,6 +317,12 @@ def improve(state: SearchState, g: Graph, b: int,
     move improves. Each step strictly lowers the objective, which lies in
     [0, alpha(G)] x [0, n] x [0, n], so there are at most
     (alpha(G)+1)(n+1)^2 steps.
+
+    b enters only through two degree caps on the moves (X6 needs its
+    F-vertex at degree <= b - 2, X2 both ends at <= b - 1). So at every b of
+    at least 2 plus the largest F-degree of the states whose moves were
+    enumerated, the descent is the same: ``solve`` shares it across b on
+    that rule (see ``_cap_need``).
     """
     memo = SolveMemo.of(g, memo)
     steps: list[StepRecord] = []
@@ -356,6 +362,29 @@ def posa_cover(g: Graph, mask: int, memo: SolveMemo | None = None) -> tuple[Edge
     return tuple(edges)
 
 
+#: the most one step of each kind can raise F's largest degree: X6 closes a
+#: cycle through one F-vertex and X2 a path between two; X4's cycle lies in
+#: D, and X1, X3 and X7 keep or lower every F-degree
+_DEGREE_GAIN = {"X6": 2, "X2": 1}
+
+
+def _cap_need(outcome: ImproveOutcome) -> int:
+    """A b from which on no degree cap can bind in ``improve``'s descent from
+    a seed cycle to ``outcome``: 2 plus a bound on the largest F-degree of
+    each state whose moves were enumerated. Those are every state but the
+    last, and the last too when G - F is not empty; the seed's degrees are
+    2, and each step raises the largest by at most its ``_DEGREE_GAIN``. At
+    every b >= need, X6's cap (degree <= b - 2) and X2's (<= b - 1) pass at
+    each of those states, so the candidates, the moves taken and the outcome
+    are the same at each such b."""
+    steps = outcome.steps
+    if not outcome.state.d_mask:
+        if not steps:
+            return 2  # the seed had no D: no move was enumerated
+        steps = steps[:-1]
+    return 4 + sum(_DEGREE_GAIN.get(step.kind, 0) for step in steps)
+
+
 def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     """Full pipeline: seed, improve, cover the rest, assemble and validate.
 
@@ -363,11 +392,19 @@ def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     alpha(G). b = 2 and b = 3 are accepted (the degree window is meaningful
     for any b >= 2); only the bound guarantees are specific to other b.
     ``memo``, when given, must be a ``SolveMemo`` of this very graph; calls
-    for several b may share it, and get the results of fresh calls.
+    for several b may share it, and get the results of fresh calls. A call
+    whose descent has need <= b (``_cap_need``; 2 for the fallback, which
+    has no descent) keeps it in ``memo.descent``, and a later call at any
+    b >= need takes its edges, steps and fallback flag without seeding,
+    descending or covering; only the factor is built and validated at its
+    own b.
     """
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
     memo = SolveMemo.of(g, memo)
+    if memo.descent is not None and memo.descent[0] <= b:
+        shared = memo.descent[1]
+        return shared._replace(factor=PseudoFactor.build(g, shared.factor.edges, b))
     state = initial_subgraph(g, memo)
     fallback = not state.f_edges
     outcome = ImproveOutcome(state, ()) if fallback else improve(state, g, b, memo)
@@ -377,4 +414,8 @@ def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     if cover is None:
         cover = memo.covers[key] = posa_cover(g, key, memo)
     factor = PseudoFactor.build(g, final.f_edges.union(cover), b)
-    return HeuristicResult(factor=factor, steps=outcome.steps, fallback=fallback)
+    result = HeuristicResult(factor=factor, steps=outcome.steps, fallback=fallback)
+    need = 2 if fallback else _cap_need(outcome)
+    if need <= b:
+        memo.descent = (need, result)
+    return result

@@ -1,14 +1,21 @@
 """One graph's searches that do not depend on b, shared by every stage and
 every b row of that graph.
 
-The memo sits below both solvers and imports only ``graph``, so the exact
-oracle can keep its scan in it without importing the constructive solver.
-Every longest-path search of the solver goes through ``SolveMemo.path``.
+The memo sits below both solvers and imports only ``graph`` and ``errors``
+at run time, so the exact oracle can keep its scan in it without importing
+the constructive solver. Every longest-path search of the solver goes
+through ``SolveMemo.path``.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+from .errors import CapacityError
 from .graph import Edge, Graph, independence_number, longest_path
+
+if TYPE_CHECKING:
+    from .heuristic import HeuristicResult
 
 
 class SolveMemo:
@@ -20,15 +27,22 @@ class SolveMemo:
     leftover set (``posa_cover``'s edge tuple, keyed by the set's mask) and
     the exact oracle's matching-table scan (``scan``: the ``nu`` table and
     the candidate groups, filled by ``min_small_components_exact``, whose
-    walk sorts each group in place when it first reaches it). A search that
-    refuses stores nothing, so every call that needs it is refused again."""
+    walk sorts each group in place when it first reaches it), and the
+    solver's descent from the seed (``descent``: ``(need, result)``, kept by
+    ``solve`` at a b >= need and reused by ``solve`` at every b >= need,
+    need being a b from which on none of the solver's degree caps can bind
+    along that descent, see ``heuristic._cap_need``). A refused path search is kept as its
+    ``CapacityError``, which every later call for that mask raises again
+    without searching; a fresh memo searches again under the step budget of
+    its time. The other searches store nothing when they refuse."""
 
     def __init__(self, g: Graph):
         self.g = g
-        self.paths: dict[int, tuple[int, ...]] = {}
+        self.paths: dict[int, tuple[int, ...] | CapacityError] = {}
         self.alphas: dict[int, int] = {}
         self.covers: dict[int, tuple[Edge, ...]] = {}
         self.scan: tuple[list[int], list[list[int]]] | None = None
+        self.descent: tuple[int, HeuristicResult] | None = None
 
     @classmethod
     def of(cls, g: Graph, memo: SolveMemo | None) -> SolveMemo:
@@ -40,11 +54,17 @@ class SolveMemo:
         return memo
 
     def path(self, mask: int) -> tuple[int, ...]:
-        """``longest_path`` of G[mask], mask nonempty, searched once per mask."""
+        """``longest_path`` of G[mask], mask nonempty, searched once per mask;
+        a refusal is raised again, with its message, on every later call."""
         val = self.paths.get(mask)
         if val is None:
-            val = longest_path(self.g, mask)
+            try:
+                val = longest_path(self.g, mask)
+            except CapacityError as exc:
+                val = exc
             self.paths[mask] = val
+        if isinstance(val, CapacityError):
+            raise CapacityError(*val.args)
         return val
 
     def alpha(self, mask: int) -> int:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudofactor.graph as graph_module
+import pseudofactor.memo as memo_module
 from conftest import all_labelled_graphs, brute_force_alpha, mask_of, neighbors, petersen, small_graphs
 from pseudofactor.errors import CapacityError, GraphParseError, NonMaximalPathError
 from pseudofactor import heuristic
@@ -428,19 +429,33 @@ class TestLongestPath:
                 need += 1
         assert need > 0
 
-    def test_memo_stores_no_refusal(self, monkeypatch):
-        # a refused search leaves the memo as it was, so the next call
-        # searches again
+    def test_memo_keeps_its_refusal(self, monkeypatch):
+        # a memo keeps the refusal it met and raises it again, same message,
+        # without searching; a fresh memo searches again under the budget of
+        # its time
         g = join_sharpness(complete_graph(1), 4)
+        searches = []
+
+        def counting(g, mask=None):
+            searches.append(mask)
+            return longest_path(g, mask)
+
+        monkeypatch.setattr(memo_module, "longest_path", counting)
         memo = SolveMemo(g)
         with monkeypatch.context() as low:
             low.setattr(graph_module, "LONGEST_PATH_STEPS", 0)
-            for _ in range(2):
-                with pytest.raises(CapacityError, match="branching steps"):
+            messages = []
+            for _ in range(3):
+                with pytest.raises(CapacityError, match="branching steps") as refused:
                     memo.path(g.full_mask)
-                assert memo.paths == {}
-        assert memo.path(g.full_mask) == longest_path(g)
-        assert memo.paths == {g.full_mask: longest_path(g)}
+                messages.append(str(refused.value))
+            assert messages == ["longest-path search limited to 0 branching steps, on 9 vertices"] * 3
+            assert searches == [g.full_mask]
+        with pytest.raises(CapacityError):
+            memo.path(g.full_mask)  # the budget rose, but this memo keeps its refusal
+        assert searches == [g.full_mask]
+        assert SolveMemo(g).path(g.full_mask) == longest_path(g)
+        assert searches == [g.full_mask] * 2
 
     @given(small_graphs())
     @settings(max_examples=60)

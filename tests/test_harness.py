@@ -365,12 +365,19 @@ class TestRunCorpus:
             assert calls == [g for _, g in items]
         assert sizes == [2]
 
-    def test_refusals_are_not_shared(self, monkeypatch):
+    def test_path_refusals_are_shared_oracle_refusals_are_not(self, monkeypatch):
         path_calls = spy_full_graph(monkeypatch, "longest_path")
         over_path = [("n19", gnp(19, 0.3, 1))]
         run = run_corpus(over_path, [4, 5, 6], mode="heuristic")
         assert [r.status for r in run.reports] == ["capacity_skipped"] * 3
-        assert len(path_calls) == 3  # each row asks again and is refused again
+        assert len(path_calls) == 1  # the memo keeps the refusal for the later rows
+        path_calls.clear()
+        # a search refused by its step budget: three rows, one search
+        monkeypatch.setattr(graph_module, "LONGEST_PATH_STEPS", 0)
+        over_budget = [("join h=1 p=4", join_sharpness(complete_graph(1), 4))]
+        run = run_corpus(over_budget, [4, 5, 6], mode="heuristic")
+        assert [r.status for r in run.reports] == ["capacity_skipped"] * 3
+        assert len(path_calls) == 1
         path_calls.clear()
         real = min_small_components_exact
         oracle_calls = []
@@ -387,6 +394,14 @@ class TestRunCorpus:
             assert [r.status for r in run.reports] == ["capacity_skipped"] * 3
             assert oracle_calls == [4, 5, 6]  # each row asks again and is refused again
         assert path_calls == []  # the oracle refuses before the solver runs
+
+    def test_b_order_changes_no_row(self, random_corpus):
+        # a graph's rows share the solver's descent whichever b comes first
+        ascending = run_corpus(random_corpus, [4, 5, 6], mode="both")
+        descending = run_corpus(random_corpus, [6, 5, 4], mode="both")
+        by_row = {(r.instance, r.b): r for r in ascending.reports}
+        assert len(by_row) == len(descending.reports) == 3 * len(random_corpus)
+        assert all(by_row[r.instance, r.b] == r for r in descending.reports)
 
     def test_memo_of_another_graph_rejected(self):
         g = cycle_graph(5)

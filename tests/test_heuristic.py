@@ -1,5 +1,6 @@
 import ast
 import itertools
+import random
 from pathlib import Path
 from unittest import mock
 
@@ -452,6 +453,59 @@ class TestSolve:
             assert shared.factor.edges == own.factor.edges
             assert shared.steps == own.steps
             assert shared.fallback == own.fallback
+
+    def test_shared_descent_equals_fresh_on_seeded_graphs(self):
+        # one memo, b in shuffled order: a row that reuses a descent returns
+        # what a fresh solve returns, and most rows past the first reuse one
+        rng = random.Random(20260)
+        rows = reused = 0
+        for _ in range(150):
+            g = gnp(rng.randint(3, 14), rng.choice((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8)),
+                    rng.randrange(10**6))
+            b_values = list(range(2, 8))
+            rng.shuffle(b_values)
+            memo = SolveMemo(g)
+            for b in b_values:
+                reused += memo.descent is not None and memo.descent[0] <= b
+                shared, own = solve(g, b, memo=memo), solve(g, b)
+                assert (shared.factor.edges, shared.steps, shared.fallback, shared.factor.b) == \
+                    (own.factor.edges, own.steps, own.fallback, b), (g.edges, b_values, b)
+                rows += 1
+        assert rows // 2 < reused < rows
+
+    def test_caps_that_bind_are_not_shared(self):
+        # the caps bind on this graph at b = 4: its descent reaches F-degree
+        # 4, so need is 6, and b = 6 takes a third X2 that b = 4 refused;
+        # so no descent here is kept (test_descents_per_memo checks the
+        # shared answers against fresh ones)
+        g = gnp(17, 0.15, 1289)
+        assert [s.kind for s in solve(g, 4).steps] == ["X2", "X2"]
+        assert [s.kind for s in solve(g, 6).steps] == ["X2", "X2", "X2"]
+        assert heuristic._cap_need(improve(initial_subgraph(g), g, 4)) == 6
+        memo = SolveMemo(g)
+        for b in (4, 5, 6):
+            solve(g, b, memo=memo)
+        assert memo.descent is None
+
+    @pytest.mark.parametrize("g, b_values, descents", [
+        (cycle_graph(5), (2, 3, 4), 1),  # the seed spans G: no move is enumerated
+        (gnp(8, 0.35, 1), (4, 5, 6), 1),  # one X4 step: F keeps degree 2
+        (gnp(17, 0.15, 1289), (4, 5), 2),
+        (gnp(17, 0.15, 1289), (4, 5, 6), 3),
+        (gnp(17, 0.15, 1289), (7, 4, 5, 6, 8), 4),  # need 7 at b = 7 serves b = 8
+    ])
+    def test_descents_per_memo(self, monkeypatch, g, b_values, descents):
+        fresh = [solve(g, b) for b in b_values]
+        calls = []
+
+        def counting(state, g, b, memo=None):
+            calls.append(b)
+            return improve(state, g, b, memo)
+
+        monkeypatch.setattr(heuristic, "improve", counting)
+        memo = SolveMemo(g)
+        assert [solve(g, b, memo=memo) for b in b_values] == fresh
+        assert len(calls) == descents, calls
 
     def test_memo_of_another_graph_rejected(self):
         g = cycle_graph(5)
