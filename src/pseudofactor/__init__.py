@@ -13,23 +13,21 @@ graphs never compiles the solvers.
 
 import importlib as _importlib
 
-#: each module's exported names. The loader modules (errors, graph,
-#: generators) are imported with the package: perfbench's tracer finds
-#: ``pseudofactor.generators`` in ``sys.modules``, and nothing in the solver
-#: stack imports it. The solver modules load when one of their names is read.
+#: each module's exported names, the ones README's Library section lists. The
+#: loader modules (errors, graph, generators) are imported with the package:
+#: perfbench's tracer finds ``pseudofactor.generators`` in ``sys.modules``, and
+#: nothing in the solver stack imports it. The solver modules load on first read.
 _EXPORTS = {
     "errors": ("CapacityError", "FactorError", "GraphParseError", "ManifestError",
                "NonMaximalPathError", "ParseError"),
     "graph": ("Graph", "independence_number", "load_dimacs", "load_edge_list", "load_graph_text",
-              "longest_path", "min_degree", "read_graph_file", "to_edge_list"),
+              "min_degree", "read_graph_file", "to_edge_list"),
     "generators": ("FamilySpec", "complete_graph", "cycle_graph", "gnp", "join_sharpness",
                    "parse_manifest", "path_graph", "pendant_sharpness"),
-    "factor": ("PseudoFactor", "factor_to_text", "is_2b_subgraph", "spanning_in_range",
-               "validate_pseudo_factor"),
+    "factor": ("PseudoFactor", "factor_to_text"),
     "memo": ("SolveMemo",),
     "oracle": ("OracleResult", "min_small_components_exact"),
-    "heuristic": ("ExchangeMove", "HeuristicResult", "SearchState", "enumerate_moves", "improve",
-                  "initial_subgraph", "posa_cover", "solve"),
+    "heuristic": ("HeuristicResult", "solve"),
     "harness": ("BoundReport", "CorpusRun", "run_corpus", "theorem_bound", "verify_instance",
                 "write_csv", "write_jsonl"),
 }

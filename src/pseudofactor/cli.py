@@ -155,6 +155,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     b_values = _parse_b_list(args.b)
+    if args.jobs < 1:
+        raise ParseError(f"jobs must be at least 1, got {args.jobs}")
     sources = _source_files(args.source)
     # fail on an unwritable output path before any graph is built, with the
     # error that opening it for writing would raise; an output over an input

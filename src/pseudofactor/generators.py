@@ -14,8 +14,8 @@ import math
 import random
 from typing import NamedTuple
 
-from .errors import ManifestError
-from .graph import DECLARED_VERTEX_LIMIT, Graph
+from .errors import GraphParseError, ManifestError
+from .graph import DECLARED_VERTEX_LIMIT, Graph, _file_lines
 
 #: largest edge count a family spec may imply (for gnp: the vertex pairs it
 #: samples); checked at parse time, before anything is built
@@ -198,10 +198,10 @@ class FamilySpec(NamedTuple):
             raise ManifestError(f"{self.instance_id()}: {exc}") from exc
 
 
-def parse_manifest(text: str) -> list[FamilySpec]:
-    """One FamilySpec per significant line; '#' comments and blanks skipped."""
+def _parse_lines(lines) -> list[FamilySpec]:
+    """The FamilySpecs of ``lines``, read as ``parse_manifest`` reads them."""
     specs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -212,11 +212,16 @@ def parse_manifest(text: str) -> list[FamilySpec]:
     return specs
 
 
+def parse_manifest(text: str) -> list[FamilySpec]:
+    """One FamilySpec per significant line; '#' comments and blanks skipped."""
+    return _parse_lines(text.splitlines())
+
+
 def read_manifest(path) -> list[FamilySpec]:
-    """Parse the manifest at ``path``; a bad line, or text that is not UTF-8,
-    raises ManifestError naming the file."""
+    """Parse the manifest at ``path`` a line at a time, as ``parse_manifest`` parses
+    its text; a bad line, or a byte that is not UTF-8, raises ManifestError naming it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_manifest(fh.read())
-    except (ManifestError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            return _parse_lines(_file_lines(fh))
+    except (ManifestError, GraphParseError) as exc:
         raise ManifestError(f"{path}: {exc}") from None

@@ -409,10 +409,7 @@ def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     fallback = not state.f_edges
     outcome = ImproveOutcome(state, ()) if fallback else improve(state, g, b, memo)
     final = outcome.state
-    key = g.full_mask ^ final.f_mask
-    cover = memo.covers.get(key)
-    if cover is None:
-        cover = memo.covers[key] = posa_cover(g, key, memo)
+    cover = posa_cover(g, g.full_mask ^ final.f_mask, memo)
     factor = PseudoFactor.build(g, final.f_edges.union(cover), b)
     result = HeuristicResult(factor=factor, steps=outcome.steps, fallback=fallback)
     need = 2 if fallback else _cap_need(outcome)

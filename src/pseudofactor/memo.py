@@ -12,35 +12,32 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError
-from .graph import Edge, Graph, independence_number, longest_path
+from .graph import Graph, independence_number, longest_path
 
 if TYPE_CHECKING:
     from .heuristic import HeuristicResult
 
 
 class SolveMemo:
-    """The searches on one graph that do not depend on b, each run on first
-    use and then shared by every stage and every b that asks: the longest
-    path and the alpha of each induced subgraph met (both keyed by the mask
-    of its vertex set, so the seed path and alpha(G) are the entries of the
-    full set and each alpha(G - F) the entry of ``V - F``), the cover of each
-    leftover set (``posa_cover``'s edge tuple, keyed by the set's mask) and
-    the exact oracle's matching-table scan (``scan``: the ``nu`` table and
-    the candidate groups, filled by ``min_small_components_exact``, whose
-    walk sorts each group in place when it first reaches it), and the
-    solver's descent from the seed (``descent``: ``(need, result)``, kept by
-    ``solve`` at a b >= need and reused by ``solve`` at every b >= need,
-    need being a b from which on none of the solver's degree caps can bind
-    along that descent, see ``heuristic._cap_need``). A refused path search is kept as its
-    ``CapacityError``, which every later call for that mask raises again
-    without searching; a fresh memo searches again under the step budget of
-    its time. The other searches store nothing when they refuse."""
+    """The searches on one graph that do not depend on b, each run on first use
+    and then shared by every stage and every b that asks: the longest path and
+    the alpha of each induced subgraph met (both keyed by the mask of its vertex
+    set, so the seed path and alpha(G) are the entries of the full set and each
+    alpha(G - F) the entry of ``V - F``), the exact oracle's matching-table scan
+    (``scan``: the ``nu`` table and the candidate groups, filled by
+    ``min_small_components_exact``, whose walk sorts each group in place when it
+    first reaches it), and the solver's descent from the seed (``descent``:
+    ``(need, result)``, kept and reused by ``solve`` at every b >= need, a b from
+    which on none of the solver's degree caps can bind along that descent; see
+    ``heuristic._cap_need``). A refused path search is kept as its
+    ``CapacityError``, which every later call for that mask raises again without
+    searching; a fresh memo searches again under the step budget of its time. The
+    other searches store nothing when they refuse."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.paths: dict[int, tuple[int, ...] | CapacityError] = {}
         self.alphas: dict[int, int] = {}
-        self.covers: dict[int, tuple[Edge, ...]] = {}
         self.scan: tuple[list[int], list[list[int]]] | None = None
         self.descent: tuple[int, HeuristicResult] | None = None
 

@@ -202,7 +202,10 @@ def test_verify_lists_its_sources_once(tmp_path, capsys, monkeypatch):
     (b"cycle n=5\nfoo n=3\n",
      "line 2: unknown family 'foo' (expected one of join, pendant, gnp, cycle, complete, path)"),
     (b"cycle n=5\xff\n", "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
-], ids=["bad-line", "not-utf8"])
+    # the file is read a line at a time, so a bad line is met before a later bad byte
+    (b"foo n=3\ncycle n=5\xff\n",
+     "line 1: unknown family 'foo' (expected one of join, pendant, gnp, cycle, complete, path)"),
+], ids=["bad-line", "not-utf8", "bad-line-then-not-utf8"])
 def test_manifest_errors_name_the_manifest(tmp_path, capsys, command, text, fault):
     manifest = tmp_path / "manifest.txt"
     manifest.write_bytes(text)
@@ -590,11 +593,13 @@ def test_verify_directory_names_the_empty_graph(tmp_path, capsys):
 
 
 def test_verify_bad_jobs(tmp_path, capsys):
-    manifest = tmp_path / "manifest.txt"
-    manifest.write_text("cycle n=5\n")
-    for jobs in ("0", "-3"):
-        assert main(["verify", str(manifest), "-b", "4", "--jobs", jobs]) == 2
-        assert "jobs must be at least 1" in capsys.readouterr().err
+    # checked before the manifest is read, so a bad line after it is not reached
+    for name, text in (("good.txt", "cycle n=5\n"), ("bad.txt", "cycle n=5\nfoo n=3\n")):
+        manifest = tmp_path / name
+        manifest.write_text(text)
+        for jobs in ("0", "-3"):
+            assert main(["verify", str(manifest), "-b", "4", "--jobs", jobs]) == 2
+            assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
 
 
 def test_verify_strict_capacity(tmp_path, capsys):

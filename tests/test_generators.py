@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from pseudofactor.generators import (
     parse_manifest,
     path_graph,
     pendant_sharpness,
+    read_manifest,
 )
 from pseudofactor.graph import DECLARED_VERTEX_LIMIT, Graph, independence_number, min_degree
 
@@ -259,3 +261,39 @@ class TestFamilySpec:
     def test_manifest_error_carries_line_number(self):
         with pytest.raises(ManifestError, match="line 2"):
             parse_manifest("gnp n=6 p=0.5 seed=1\nbad spec\n")
+
+    @pytest.mark.parametrize("text", [
+        "cycle n=5\r\npath n=4\rcomplete n=3\n",
+        "# a\x0cgnp n=6 p=0.5 seed=1\x85join h=1 p=3",
+        "cycle n=5\n\u2028bad spec\n",
+        "cycle n=5\r\n\r\nfoo n=3\r\n",
+    ])
+    def test_manifest_file_reads_as_its_text(self, tmp_path, text):
+        # the file reader splits lines as str.splitlines does, so specs and
+        # line numbers match parse_manifest on the same text
+        path = tmp_path / "manifest.txt"
+        path.write_bytes(text.encode("utf-8"))
+
+        def outcome(parse, source):
+            try:
+                return parse(source)
+            except ManifestError as exc:
+                return str(exc)
+
+        expected = outcome(parse_manifest, text)
+        assert outcome(read_manifest, path) == (expected if isinstance(expected, list)
+                                                 else f"{path}: {expected}")
+
+    def test_manifest_file_is_read_a_line_at_a_time(self, tmp_path):
+        # a 4 MB comment-only manifest holding one spec is never held whole
+        path = tmp_path / "manifest.txt"
+        comment = "# " + "x" * 76 + "\n"
+        path.write_text(comment * 25_000 + "cycle n=5\n" + comment * 25_000, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            specs = read_manifest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert specs == [FamilySpec("cycle", (("n", 5),))]
+        assert peak < 1 << 20

@@ -312,23 +312,22 @@ class TestRunCorpus:
             assert alpha_calls == [g for _, g in items]
         assert sizes == [2]
 
-    def test_b_rows_share_covers(self, monkeypatch):
+    def test_one_cover_per_row_without_a_shared_descent(self, monkeypatch):
+        # a row that reuses its graph's descent neither seeds nor covers; every
+        # other row seeds once and then covers its own leftover set once
         items = [(f"gnp {s}", gnp(8, 0.45, s)) for s in range(4)]
-        original = heuristic.posa_cover
-        calls = []
-
-        def spy(g, mask, memo=None):
-            calls.append((id(g), mask))
-            return original(g, mask, memo)
-
-        monkeypatch.setattr(heuristic, "posa_cover", spy)
         expected = [
             verify_instance(g, b, mode="both", instance=instance)
             for instance, g in items
             for b in (4, 5, 6)
         ]
-        distinct = list(dict.fromkeys(calls))  # first row of each graph's leftover set
-        assert len(distinct) < len(calls)  # some b rows repeat a leftover set
+        calls = []
+        for name in ("initial_subgraph", "posa_cover"):
+            def spy(g, *args, _name=name, _original=getattr(heuristic, name)):
+                calls.append((_name, id(g)))
+                return _original(g, *args)
+
+            monkeypatch.setattr(heuristic, name, spy)
         sizes = []
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", fake_pool(sizes))
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
@@ -336,7 +335,10 @@ class TestRunCorpus:
             calls.clear()
             run = run_corpus(items, [4, 5, 6], mode="both", jobs=jobs)
             assert list(run.reports) == expected
-            assert calls == distinct
+            seeds = calls[0::2]
+            assert {name for name, _ in seeds} == {"initial_subgraph"}
+            assert calls[1::2] == [("posa_cover", graph) for _, graph in seeds]
+            assert len(items) <= len(seeds) < len(expected)  # some rows reuse a descent
         assert sizes == [2]
 
     @pytest.mark.parametrize("mode", ["oracle", "both"])

@@ -1,13 +1,15 @@
-"""The package root's names: exactly the exported ones, each the very object
-its module defines, whether read as an attribute, through ``import *`` or
-listed by ``dir``. The solver modules load on first use, so these checks read
-every name through the root's own lookup, and ``dir`` is also read before
-any of them has loaded."""
+"""The package root's names: exactly those README's Library section lists,
+each the very object its module defines, whether read as an attribute,
+through ``import *`` or listed by ``dir``. The solver modules load on first
+use, so these checks read every name through the root's own lookup, and
+``dir`` is also read before any of them has loaded."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 from types import ModuleType
 
@@ -15,30 +17,46 @@ import pytest
 
 import pseudofactor
 
-EXPORTS = {
-    "errors": ("CapacityError", "FactorError", "GraphParseError", "ManifestError",
-               "NonMaximalPathError", "ParseError"),
-    "graph": ("Graph", "independence_number", "load_dimacs", "load_edge_list", "load_graph_text",
-              "longest_path", "min_degree", "read_graph_file", "to_edge_list"),
-    "generators": ("FamilySpec", "complete_graph", "cycle_graph", "gnp", "join_sharpness",
-                   "parse_manifest", "path_graph", "pendant_sharpness"),
-    "factor": ("PseudoFactor", "factor_to_text", "is_2b_subgraph", "spanning_in_range",
-               "validate_pseudo_factor"),
-    "memo": ("SolveMemo",),
-    "oracle": ("OracleResult", "min_small_components_exact"),
-    "heuristic": ("ExchangeMove", "HeuristicResult", "SearchState", "enumerate_moves", "improve",
-                  "initial_subgraph", "posa_cover", "solve"),
-    "harness": ("BoundReport", "CorpusRun", "run_corpus", "theorem_bound", "verify_instance",
-                "write_csv", "write_jsonl"),
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+#: the header of README's one table of the root's names
+TABLE_HEADER = "| module | names exported from `pseudofactor` |"
+#: internals that stay in their modules and are not read from the root
+INTERNAL = {
+    "graph": ("longest_path",),
+    "factor": ("is_2b_subgraph", "spanning_in_range", "validate_pseudo_factor"),
+    "heuristic": ("ExchangeMove", "SearchState", "enumerate_moves", "improve", "initial_subgraph",
+                  "posa_cover"),
 }
-HOME = {name: module for module, names in EXPORTS.items() for name in names}
-SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def readme_exports() -> list[tuple[str, str]]:
+    """(name, module) for each name of README's table, in table order."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    assert lines.count(TABLE_HEADER) == 1
+    rows = takewhile(lambda line: line.startswith("|"), lines[lines.index(TABLE_HEADER) + 2:])
+    listed = []
+    for row in rows:
+        module, names = re.fullmatch(r"\| `(\w+)` \| (.*) \|", row).groups()
+        listed += [(name, module) for name in re.findall(r"`(\w+)`", names)]
+    return listed
+
+
+HOME = dict(readme_exports())
 
 
 def test_exports_exactly_the_documented_names():
-    assert len(HOME) == 46
+    assert len(HOME) == len(readme_exports()) == 36  # no name listed twice
     assert len(pseudofactor.__all__) == len(set(pseudofactor.__all__))
     assert set(pseudofactor.__all__) == set(HOME)
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in INTERNAL.items() for n in names])
+def test_internals_are_read_from_their_modules(module, name):
+    assert name not in HOME and name not in dir(pseudofactor)
+    with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+        getattr(pseudofactor, name)
+    assert callable(getattr(importlib.import_module(f"pseudofactor.{module}"), name))
 
 
 def test_each_name_is_its_module_object():
