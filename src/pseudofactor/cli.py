@@ -8,11 +8,11 @@ Subcommands:
 
 Exit codes, one rule for solve and verify: 0 ok; 2 parse error (or invalid
 option value, or a path that cannot be opened or that verify would
-overwrite); 3 capacity refusal (in solve, or in verify with --strict); 4 a
-BOUND_VIOLATION row and 5 a SOLVER_INCONSISTENT row, both decided by
-harness.check_instance; 5 also an internal error (an invalid factor built by
-the oracle or the solver, or a non-maximal path met by the solver's piece
-rule).
+overwrite); 4 a BOUND_VIOLATION row, else 5 a SOLVER_INCONSISTENT row, else
+3 a capacity_skipped row (always in solve, in verify with --strict), the
+statuses decided by harness.check_instance; 5 also an internal error (an
+invalid factor built by the oracle or the solver, or a non-maximal path met
+by the solver's piece rule).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import CapacityError, FactorError, NonMaximalPathError, ParseError
+from .errors import FactorError, NonMaximalPathError, ParseError
 from .factor import factor_to_text
 from .generators import FamilySpec, read_manifest
 from .graph import Graph, read_graph_file, to_edge_list
@@ -43,6 +43,23 @@ EXIT_PARSE = 2
 EXIT_CAPACITY = 3
 EXIT_VIOLATION = 4
 EXIT_INTERNAL = 5
+
+#: each failing row status and its exit code, in precedence order
+_STATUS_EXIT = {"BOUND_VIOLATION": EXIT_VIOLATION, "SOLVER_INCONSISTENT": EXIT_INTERNAL,
+                "capacity_skipped": EXIT_CAPACITY}
+
+
+def _exit_code(rows, strict: bool) -> int:
+    """The first ``_STATUS_EXIT`` code that ``rows`` hold; capacity_skipped only if ``strict``."""
+    statuses = {row.status for row in rows if strict or row.status != "capacity_skipped"}
+    return next((code for status, code in _STATUS_EXIT.items() if status in statuses), EXIT_OK)
+
+
+def _print_faults(rows) -> None:
+    """One stderr line per BOUND_VIOLATION or SOLVER_INCONSISTENT row."""
+    for row in rows:
+        if row.status in ("BOUND_VIOLATION", "SOLVER_INCONSISTENT"):
+            print(f"{row.status.replace('_', ' ')}: {row.instance} b={row.b}", file=sys.stderr)
 
 
 def _parse_b_list(text: str) -> list[int]:
@@ -143,14 +160,9 @@ def _cmd_solve(args) -> int:
         print("heuristic factor:")
         print(factor_to_text(res.factor))
     if refusal is not None:
-        raise refusal
-    if row.status == "BOUND_VIOLATION":
-        print(f"BOUND VIOLATION: {instance} b={args.b}", file=sys.stderr)
-        return EXIT_VIOLATION
-    if row.status == "SOLVER_INCONSISTENT":
-        print(f"SOLVER INCONSISTENT: {instance} b={args.b}", file=sys.stderr)
-        return EXIT_INTERNAL
-    return EXIT_OK
+        print(f"error: {refusal}", file=sys.stderr)
+    _print_faults([row])
+    return _exit_code([row], strict=True)
 
 
 def _cmd_verify(args) -> int:
@@ -186,24 +198,18 @@ def _cmd_verify(args) -> int:
         print(f"csv written to {args.csv}")
     for key, value in run.summary.items():
         print(f"{key}: {value}")
-    if run.summary["violations"]:
+    _print_faults(run.reports)
+    code = _exit_code(run.reports, args.strict)
+    if code == EXIT_VIOLATION:
         repro_dir = args.reproducer_dir
         if repro_dir is None:
             repro_dir = str(Path(args.report).parent) if args.report else "."
-        written = write_reproducers(run, items, repro_dir)
-        for path in written:
+        for path in write_reproducers(run, items, repro_dir):
             print(f"reproducer written to {path}", file=sys.stderr)
         print("BOUND VIOLATION detected", file=sys.stderr)
-        return EXIT_VIOLATION
-    inconsistent = [r for r in run.reports if r.status == "SOLVER_INCONSISTENT"]
-    for report in inconsistent:
-        print(f"SOLVER INCONSISTENT: {report.instance} b={report.b}", file=sys.stderr)
-    if inconsistent:
-        return EXIT_INTERNAL
-    if args.strict and run.summary["capacity_skipped"]:
+    elif code == EXIT_CAPACITY:
         print("capacity refusals in strict mode", file=sys.stderr)
-        return EXIT_CAPACITY
-    return EXIT_OK
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,17 +258,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (FileExistsError, FileNotFoundError, IsADirectoryError,
+    except (ParseError, FileExistsError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError, PermissionError) as exc:
-        # a path the user gave that cannot be opened; other OSErrors propagate
+        # bad input, or a path the user gave that cannot be opened; other OSErrors propagate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
     except (FactorError, NonMaximalPathError) as exc:
         # both subclass ValueError but are never the user's input
         print(f"internal error: {exc}", file=sys.stderr)

@@ -3,12 +3,12 @@
 A report row records the instance parameters, the guaranteed ceiling
 max(0, alpha - floor(b*(delta-1)/2)) on small components, the exact optimum
 and/or the constructive solver's value, and a status. An exact optimum above
-the ceiling would falsify the guarantee, so it aborts the run loudly
-(BOUND_VIOLATION). A row whose values break the solvers' own invariants
-(oracle <= solver <= alpha, the oracle witness attains the optimum) is an
-internal fault (SOLVER_INCONSISTENT). b = 3 rows are processed but carry no
-guarantee, and graphs with isolated vertices are downgraded to informational
-rows.
+the ceiling would falsify the guarantee. Its row is marked BOUND_VIOLATION,
+the run goes on, and verify exits 4 after it writes its report. A row
+breaking the solvers' own invariants (oracle <= solver <= alpha, the oracle
+witness attains the optimum) is an internal fault (SOLVER_INCONSISTENT).
+b = 3 rows are processed but carry no guarantee, and graphs with isolated
+vertices are downgraded to informational rows.
 
 Report bodies are byte-deterministic for a fixed manifest: rows appear in
 manifest order regardless of worker count, and the timestamp lives only in a

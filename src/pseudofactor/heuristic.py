@@ -5,10 +5,10 @@ then cover whatever is left by cycles, edges and vertices.
 The objective is (alpha(G - F), |D|, |V(F)|), minimized lexicographically,
 where D is a smallest component of G - F. Moves are accepted greedily at the
 first strict improvement, so the objective strictly decreases and the loop
-ends after at most (alpha(G)+1)(n+1)^2 steps. The seed, X4's cycle and every
-cover piece come from one rule, ``_first_piece``. The final cover contributes
-at most alpha(G - F) pieces, so the assembled factor never has more than
-alpha(G) small components.
+ends after at most (alpha(G)+1)(n+1)^2 steps. The seed and every cover piece
+come from one rule, ``_first_piece``, as does X4's cycle unless D's first
+piece is not a cycle, when one DFS of D finds it. The final cover adds at
+most alpha(G - F) pieces, so the factor has at most alpha(G) small components.
 """
 
 from __future__ import annotations

@@ -377,16 +377,15 @@ def test_impossible_heuristic_value_exit_code(tmp_path, capsys, monkeypatch, com
     assert status == (None if command == "solve" else "SOLVER_INCONSISTENT")
 
 
+def _shifted_optimum(g, b, memo=None):
+    result = min_small_components_exact(g, b)
+    return OracleResult(result.optimum + 1, result.witness)
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_witness_off_the_optimum_exit_code(tmp_path, capsys, monkeypatch, command):
     # b = 3 carries no guarantee, so only the witness check can catch it
-    real = min_small_components_exact
-
-    def shifted(g, b, memo=None):
-        result = real(g, b)
-        return OracleResult(result.optimum + 1, result.witness)
-
-    monkeypatch.setattr(harness, "min_small_components_exact", shifted)
+    monkeypatch.setattr(harness, "min_small_components_exact", _shifted_optimum)
     code, status = run_on_spec(command, tmp_path, "path n=4", 3, "oracle")
     assert code == 5
     assert "SOLVER INCONSISTENT: path n=4 b=3" in capsys.readouterr().err
@@ -397,24 +396,39 @@ def _internal_error(g, b, memo=None):
     raise FactorError("component (0, 1, 2): vertex 0 has degree 1, outside [2, 4]")
 
 
+# a zero step budget makes the solver refuse its first branching path search
+_REFUSE_SOLVER = (graph_module, "LONGEST_PATH_STEPS", 0)
+_ZERO_BOUND = (harness, "theorem_bound", lambda alpha, delta, b: 0)
+
+
 @pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("code, spec, b, mode, patch, faults", [
-    (0, "cycle n=5", "4", "both", None, ("", "")),
-    (2, "cycle n=5", "1", "both", None,
+@pytest.mark.parametrize("code, spec, b, mode, patches, faults", [
+    (0, "cycle n=5", "4", "both", (), ("", "")),
+    (2, "cycle n=5", "1", "both", (),
      ("error: b must be an integer >= 2\n", "error: every b must be an integer >= 2\n")),
-    (3, "gnp n=16 p=0.3 seed=2", "4", "oracle", None,
+    (3, "gnp n=16 p=0.3 seed=2", "4", "oracle", (),
      ("error: exact oracle limited to 15 vertices, got 16\n", "capacity refusals in strict mode\n")),
-    (4, "pendant h=3", "4", "oracle", ("theorem_bound", lambda alpha, delta, b: 0),
+    (4, "pendant h=3", "4", "oracle", (_ZERO_BOUND,),
      ("BOUND VIOLATION: pendant h=3 b=4\n", "BOUND VIOLATION detected\n")),
-    (5, "cycle n=5", "4", "heuristic", ("solve", _internal_error),
+    (5, "cycle n=5", "4", "heuristic", ((harness, "solve", _internal_error),),
      ("internal error: component (0, 1, 2)",) * 2),
-], ids=["ok", "parse", "capacity", "violation", "internal"])
-def test_every_exit_code(tmp_path, capsys, monkeypatch, command, code, spec, b, mode, patch, faults):
+    (4, "pendant h=3", "4", "both", (_REFUSE_SOLVER, _ZERO_BOUND),
+     ("error: longest-path search limited to 0 branching steps, on 6 vertices\n"
+      "BOUND VIOLATION: pendant h=3 b=4\n", "BOUND VIOLATION: pendant h=3 b=4\n")),
+    (5, "cycle n=5", "3", "both",
+     (_REFUSE_SOLVER, (harness, "min_small_components_exact", _shifted_optimum)),
+     ("error: longest-path search limited to 0 branching steps, on 5 vertices\n"
+      "SOLVER INCONSISTENT: cycle n=5 b=3\n", "SOLVER INCONSISTENT: cycle n=5 b=3\n")),
+], ids=["ok", "parse", "capacity", "violation", "internal",
+        "violation-over-refusal", "inconsistent-over-refusal"])
+def test_every_exit_code(tmp_path, capsys, monkeypatch, command, code, spec, b, mode, patches,
+                         faults):
     # every documented exit code of both commands; verify runs serially, so
     # its rows call the patched harness, and under --strict, so a refused
-    # row exits 3 as it does in solve
-    if patch is not None:
-        monkeypatch.setattr(harness, *patch)
+    # row exits 3 as it does in solve. A violation or an inconsistent row
+    # outranks a refusal on the same row, in both commands
+    for patch in patches:
+        monkeypatch.setattr(*patch)
     if command == "solve":
         argv = ["solve", "--family", spec, "-b", b, "--mode", mode]
         fault = faults[0]
