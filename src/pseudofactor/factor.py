@@ -40,27 +40,35 @@ class PseudoFactor(NamedTuple):
         """
         if b < 2:
             raise ValueError(f"b must be at least 2, got {b}")
-        chosen: list[Edge] = []
+        chosen: set[Edge] = set()
+        adj = [0] * g.n
         for u, v in edges:
-            e = norm_edge(u, v)
-            if not 0 <= e[0] < g.n or not g.adj_bits[e[0]] >> e[1] & 1:
+            u, v = e = norm_edge(u, v)
+            if not 0 <= u < g.n or not g.adj_bits[u] >> v & 1:
                 raise FactorError(f"chosen edge {e} is not an edge of the graph")
-            chosen.append(e)
-        f = Graph.build(g.n, chosen)
-        components = tuple(component_masks(f.adj_bits, g.full_mask))
-        for mask in components:
-            if mask.bit_count() < 3:
-                continue
-            for v in bits(mask):
-                d = f.adj_bits[v].bit_count()
-                if d < 2 or d > b:
-                    comp = tuple(bits(mask))
-                    raise FactorError(
-                        f"component {comp}: vertex {v} has degree {d}, outside [2, {b}]",
-                        component=comp,
-                        vertex=v,
-                    )
-        return cls(graph=g, edges=f.edges, components=components, b=b)
+            chosen.add(e)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        components = tuple(component_masks(adj, g.full_mask))
+        _check_window(components, [a.bit_count() for a in adj], b)
+        return cls(graph=g, edges=tuple(sorted(chosen)), components=components, b=b)
+
+    def with_bound(self, b: int) -> "PseudoFactor":
+        """This factor as a pseudo [2,b]-factor, equal to
+        ``PseudoFactor.build(self.graph, self.edges, b)`` and raising where it
+        would: its edges are already edges of the graph and its components do
+        not depend on b, so only the degree window of each large component is
+        checked again."""
+        if b < 2:
+            raise ValueError(f"b must be at least 2, got {b}")
+        if b == self.b:
+            return self
+        degree = [0] * self.graph.n
+        for u, v in self.edges:
+            degree[u] += 1
+            degree[v] += 1
+        _check_window(self.components, degree, b)
+        return self._replace(b=b)
 
     @property
     def small_count(self) -> int:
@@ -72,6 +80,23 @@ class PseudoFactor(NamedTuple):
             f"PseudoFactor(n={self.graph.n}, chosen={len(self.edges)}, "
             f"small={small}, large={len(self.components) - small}, b={self.b})"
         )
+
+
+def _check_window(components, degree, b: int) -> None:
+    """Raise FactorError at the first component on >= 3 vertices, then at its
+    lowest vertex, whose ``degree`` lies outside [2, b]."""
+    for mask in components:
+        if mask.bit_count() < 3:
+            continue
+        for v in bits(mask):
+            d = degree[v]
+            if d < 2 or d > b:
+                comp = tuple(bits(mask))
+                raise FactorError(
+                    f"component {comp}: vertex {v} has degree {d}, outside [2, {b}]",
+                    component=comp,
+                    vertex=v,
+                )
 
 
 def validate_pseudo_factor(g: Graph, edges, b: int) -> PseudoFactor:

@@ -395,16 +395,16 @@ def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     for several b may share it, and get the results of fresh calls. A call
     whose descent has need <= b (``_cap_need``; 2 for the fallback, which
     has no descent) keeps it in ``memo.descent``, and a later call at any
-    b >= need takes its edges, steps and fallback flag without seeding,
-    descending or covering; only the factor is built and validated at its
-    own b.
+    b >= need takes its factor, steps and fallback flag without seeding,
+    descending or covering; the factor is not rebuilt, only its degree window
+    is re-checked at its own b (``PseudoFactor.with_bound``).
     """
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
     memo = SolveMemo.of(g, memo)
     if memo.descent is not None and memo.descent[0] <= b:
         shared = memo.descent[1]
-        return shared._replace(factor=PseudoFactor.build(g, shared.factor.edges, b))
+        return shared._replace(factor=shared.factor.with_bound(b))
     state = initial_subgraph(g, memo)
     fallback = not state.f_edges
     outcome = ImproveOutcome(state, ()) if fallback else improve(state, g, b, memo)

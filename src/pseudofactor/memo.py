@@ -16,6 +16,7 @@ from .graph import Graph, independence_number, longest_path
 
 if TYPE_CHECKING:
     from .heuristic import HeuristicResult
+    from .oracle import OracleResult
 
 
 class SolveMemo:
@@ -26,19 +27,25 @@ class SolveMemo:
     alpha(G - F) the entry of ``V - F``), the exact oracle's matching-table scan
     (``scan``: the ``nu`` table and the candidate groups, filled by
     ``min_small_components_exact``, whose walk sorts each group in place when it
-    first reaches it), and the solver's descent from the seed (``descent``:
-    ``(need, result)``, kept and reused by ``solve`` at every b >= need, a b from
-    which on none of the solver's degree caps can bind along that descent; see
-    ``heuristic._cap_need``). A refused path search is kept as its
-    ``CapacityError``, which every later call for that mask raises again without
-    searching; a fresh memo searches again under the step budget of its time. The
-    other searches store nothing when they refuse."""
+    first reaches it), the oracle's witnesses that cannot depend on b
+    (``witnesses``: a large part S mapped to ``(Δ(G[S]), result)``, Δ(G[S]) the
+    largest degree inside G[S]; kept by a row whose walk ended at S with
+    Δ(G[S]) <= its b, and reused by every row whose walk reaches S at a
+    b >= Δ(G[S])), and the solver's descent from the seed (``descent``:
+    ``(need, result)``, kept and reused by ``solve`` at every b >= need, a b
+    from which on none of the solver's degree caps can bind along that descent;
+    see ``heuristic._cap_need``). A reused witness or factor is not rebuilt,
+    only re-checked at its row's b (``PseudoFactor.with_bound``). A refused path
+    search is kept as its ``CapacityError``, which every later call for that mask
+    raises again without searching; a fresh memo searches again under the step
+    budget of its time. The other searches store nothing when they refuse."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.paths: dict[int, tuple[int, ...] | CapacityError] = {}
         self.alphas: dict[int, int] = {}
         self.scan: tuple[list[int], list[list[int]]] | None = None
+        self.witnesses: dict[int, tuple[int, OracleResult]] = {}
         self.descent: tuple[int, HeuristicResult] | None = None
 
     @classmethod

@@ -103,8 +103,12 @@ def min_small_components_exact(g: Graph, b: int, memo: SolveMemo | None = None) 
 
     The table and the candidate groups do not depend on b; they are built
     once per ``memo``, which, when given, must be a ``SolveMemo`` of this very
-    graph, so calls for several b may share it. A capacity refusal stores
-    nothing.
+    graph, so calls for several b may share it. Nor does a witness whose S is
+    empty or has all induced degrees at most b, as the search then takes all
+    of G[S] at every b >= Δ(G[S]): it is kept in ``memo.witnesses``, and a
+    later walk reaching S at such a b returns it without searching, not
+    rebuilt but re-checked at that b (``PseudoFactor.with_bound``). A capacity
+    refusal stores nothing.
     """
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
@@ -116,6 +120,10 @@ def min_small_components_exact(g: Graph, b: int, memo: SolveMemo | None = None) 
     nu, groups = memo.scan
 
     for large in _walk(nu, groups, g.full_mask):
+        kept = memo.witnesses.get(large)
+        if kept is not None and kept[0] <= b:
+            optimum, witness = kept[1]
+            return OracleResult(optimum, witness.with_bound(b))
         chosen = spanning_in_range(g, large, b) if large else ()
         if chosen is not None:
             break
@@ -134,4 +142,8 @@ def min_small_components_exact(g: Graph, b: int, memo: SolveMemo | None = None) 
             edges.append(norm_edge(v, w))
             rest ^= 1 << w
 
-    return OracleResult(optimum, PseudoFactor.build(g, edges, b))
+    result = OracleResult(optimum, PseudoFactor.build(g, edges, b))
+    top = max((adjb[v] & large).bit_count() for v in bits(large)) if large else 0
+    if top <= b:
+        memo.witnesses[large] = (top, result)
+    return result

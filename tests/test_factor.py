@@ -138,6 +138,29 @@ class TestValidate:
             for k, c in enumerate(comps)
         ]
 
+    def test_with_bound_matches_build(self, corpus_oracle):
+        # the corpus witnesses, and a wheel whose hub has degree 5, re-checked
+        # at each b: equal to a fresh build, or the same error
+        wheel = Graph.build(6, [(0, v) for v in range(1, 6)] + [(v, v % 5 + 1) for v in range(1, 6)])
+        factors = [result.witness for result in corpus_oracle.values()]
+        factors.append(PseudoFactor.build(wheel, wheel.edges, 5))
+        for pf in factors:
+            assert pf.with_bound(pf.b) is pf
+            for b in range(2, 8):
+                try:
+                    built = PseudoFactor.build(pf.graph, pf.edges, b)
+                except FactorError as err:
+                    with pytest.raises(FactorError) as again:
+                        pf.with_bound(b)
+                    assert (str(again.value), again.value.component, again.value.vertex) == \
+                        (str(err), err.component, err.vertex)
+                else:
+                    assert pf.with_bound(b) == built
+        with pytest.raises(FactorError, match=r"vertex 0 has degree 5, outside \[2, 4\]"):
+            factors[-1].with_bound(4)
+        with pytest.raises(ValueError):
+            factors[-1].with_bound(1)
+
     def test_component_classification(self):
         g = Graph.build(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
         pf = PseudoFactor.build(g, [(0, 1), (1, 2), (0, 2), (3, 4)], 4)

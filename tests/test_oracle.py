@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,27 @@ class TestSharedScan:
             assert shared.optimum == own.optimum
             assert shared.witness.edges == own.witness.edges
             assert _blocks(shared) == _blocks(own)
+
+    def test_shared_witnesses_equal_fresh_on_seeded_graphs(self):
+        # one memo, b shuffled over 2-7 with repeats: a row that takes a kept
+        # witness returns what a fresh call returns, and many rows take one
+        rng = random.Random(20261)
+        rows = reused = 0
+        for _ in range(150):
+            g = gnp(rng.randint(3, 11), rng.choice((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8)),
+                    rng.randrange(10**6))
+            b_values = list(range(2, 8)) + rng.choices(range(2, 8), k=3)
+            rng.shuffle(b_values)
+            memo = SolveMemo(g)
+            for b in b_values:
+                kept = [result.witness.edges for _, result in memo.witnesses.values()]
+                shared = min_small_components_exact(g, b, memo=memo)
+                own = min_small_components_exact(g, b)
+                assert shared == own, (g.edges, b_values, b)
+                # a kept witness is re-checked, not rebuilt: its edges are the same object
+                reused += any(shared.witness.edges is edges for edges in kept)
+                rows += 1
+        assert rows // 2 < reused < rows
 
     def test_memo_of_another_graph_rejected(self):
         g = cycle_graph(5)
@@ -282,10 +304,13 @@ class TestWalkOrder:
             monkeypatch.setattr(oracle, "spanning_in_range", recorder)
             min_small_components_exact(g, b, memo=memo)
             assert calls == expected[: len(calls)], (g.edges, b)
-            # with every search refused, the walk runs on until S empty
+            # with every search refused, the walk runs on until S empty; a
+            # memo sharing only the scan, so no kept witness ends it early
             calls.clear()
             monkeypatch.setattr(oracle, "spanning_in_range", refuse_all)
-            min_small_components_exact(g, b, memo=memo)
+            scan_only = SolveMemo(g)
+            scan_only.scan = memo.scan
+            min_small_components_exact(g, b, memo=scan_only)
             assert calls == expected[: expected.index(0)], (g.edges, b)
         # no small components means R is empty, so group 0 holds at most V
         assert memo.scan[1][0] in ([], [g.full_mask])
