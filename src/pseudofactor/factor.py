@@ -20,15 +20,16 @@ SPANNING_LIMIT = 20
 
 
 class PseudoFactor(NamedTuple):
-    """A validated pseudo [2,b]-factor: a graph, a chosen edge subset, and the
+    """A validated pseudo [2,b]-factor: a graph, a chosen edge subset, the
     vertex masks of the components of the spanning subgraph they induce, by
-    smallest member. A component is small when it has fewer than three
-    vertices."""
+    smallest member, b, and the number of small components, counted once by
+    ``build``. A component is small when it has fewer than three vertices."""
 
     graph: Graph
     edges: tuple[Edge, ...]
     components: tuple[int, ...]
     b: int
+    small_count: int
 
     @classmethod
     def build(cls, g: Graph, edges, b: int) -> "PseudoFactor":
@@ -51,28 +52,28 @@ class PseudoFactor(NamedTuple):
             adj[v] |= 1 << u
         components = tuple(component_masks(adj, g.full_mask))
         _check_window(components, [a.bit_count() for a in adj], b)
-        return cls(graph=g, edges=tuple(sorted(chosen)), components=components, b=b)
+        small = sum(1 for mask in components if mask.bit_count() < 3)
+        return cls(g, tuple(sorted(chosen)), components, b, small)
 
     def with_bound(self, b: int) -> "PseudoFactor":
         """This factor as a pseudo [2,b]-factor, equal to
         ``PseudoFactor.build(self.graph, self.edges, b)`` and raising where it
-        would: its edges are already edges of the graph and its components do
-        not depend on b, so only the degree window of each large component is
-        checked again."""
+        would. Its edges are already edges of the graph, and its components
+        and small count do not depend on b. Every large-component degree
+        already lies in [2, self.b], so at b >= self.b nothing is walked
+        again; at a smaller b the degree window of each large component is
+        re-checked."""
         if b < 2:
             raise ValueError(f"b must be at least 2, got {b}")
         if b == self.b:
             return self
-        degree = [0] * self.graph.n
-        for u, v in self.edges:
-            degree[u] += 1
-            degree[v] += 1
-        _check_window(self.components, degree, b)
-        return self._replace(b=b)
-
-    @property
-    def small_count(self) -> int:
-        return sum(1 for mask in self.components if mask.bit_count() < 3)
+        if b < self.b:
+            degree = [0] * self.graph.n
+            for u, v in self.edges:
+                degree[u] += 1
+                degree[v] += 1
+            _check_window(self.components, degree, b)
+        return type(self)(self.graph, self.edges, self.components, b, self.small_count)
 
     def __repr__(self):
         small = self.small_count

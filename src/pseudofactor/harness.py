@@ -23,7 +23,7 @@ import time
 from typing import NamedTuple
 
 from .errors import CapacityError
-from .graph import Graph, min_degree, to_edge_list
+from .graph import Graph, to_edge_list
 from .heuristic import HeuristicResult, solve
 from .memo import SolveMemo
 from .oracle import OracleResult, min_small_components_exact
@@ -80,8 +80,10 @@ def check_instance(
     A refusal skips every later stage and makes the row "capacity_skipped",
     never a silently truncated answer; BOUND_VIOLATION, then
     SOLVER_INCONSISTENT, outrank it. ``memo``, when given, must be a
-    ``SolveMemo`` of this very graph; it holds alpha(G), the oracle's scan and
-    the solver's searches, and other rows of the same graph may share it.
+    ``SolveMemo`` of this very graph; it holds δ(G), alpha(G), the oracle's
+    scan and witnesses and the solver's searches, and other rows of the same
+    graph may share it: a later row takes δ(G) and alpha(G) from it, and a
+    reused witness or factor at a b at or above its own is not re-walked.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -91,7 +93,7 @@ def check_instance(
         raise ValueError(f"b must be at least 2, got {b}")
     memo = SolveMemo.of(g, memo)
 
-    delta = min_degree(g)
+    delta = memo.delta
     alpha: int | None = None
     bound: int | None = None
     kl = False
@@ -122,20 +124,9 @@ def check_instance(
     else:
         status = "ok"
 
-    row = BoundReport(
-        instance=instance,
-        n=g.n,
-        b=b,
-        delta=delta,
-        alpha=alpha,
-        theorem_bound=bound,
-        oracle_optimum=oracle_opt,
-        heuristic_value=heur,
-        kl_regime=kl,
-        isolated_vertices=delta == 0,
-        b3_no_guarantee=b == 3,
-        status=status,
-    )
+    # positional, in _BoundRow's field order
+    row = BoundReport(instance, g.n, b, delta, alpha, bound, oracle_opt, heur,
+                      kl, delta == 0, b == 3, status)
     return row, exact, result, refusal
 
 

@@ -396,15 +396,16 @@ def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     whose descent has need <= b (``_cap_need``; 2 for the fallback, which
     has no descent) keeps it in ``memo.descent``, and a later call at any
     b >= need takes its factor, steps and fallback flag without seeding,
-    descending or covering; the factor is not rebuilt, only its degree window
-    is re-checked at its own b (``PseudoFactor.with_bound``).
+    descending or covering. The factor is not rebuilt but carried to the new b
+    by ``PseudoFactor.with_bound``: at a b at or above the kept factor's own
+    nothing is walked, and at a smaller b its degree window is re-checked.
     """
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
     memo = SolveMemo.of(g, memo)
     if memo.descent is not None and memo.descent[0] <= b:
         shared = memo.descent[1]
-        return shared._replace(factor=shared.factor.with_bound(b))
+        return HeuristicResult(shared.factor.with_bound(b), shared.steps, shared.fallback)
     state = initial_subgraph(g, memo)
     fallback = not state.f_edges
     outcome = ImproveOutcome(state, ()) if fallback else improve(state, g, b, memo)

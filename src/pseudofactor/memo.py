@@ -9,10 +9,11 @@ through ``SolveMemo.path``.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError
-from .graph import Graph, independence_number, longest_path
+from .graph import Graph, independence_number, longest_path, min_degree
 
 if TYPE_CHECKING:
     from .heuristic import HeuristicResult
@@ -21,8 +22,9 @@ if TYPE_CHECKING:
 
 class SolveMemo:
     """The searches on one graph that do not depend on b, each run on first use
-    and then shared by every stage and every b that asks: the longest path and
-    the alpha of each induced subgraph met (both keyed by the mask of its vertex
+    and then shared by every stage and every b that asks: δ(G) (``delta``,
+    read by ``harness.check_instance`` for each row), the longest path and the
+    alpha of each induced subgraph met (both keyed by the mask of its vertex
     set, so the seed path and alpha(G) are the entries of the full set and each
     alpha(G - F) the entry of ``V - F``), the exact oracle's matching-table scan
     (``scan``: the ``nu`` table and the candidate groups, filled by
@@ -34,11 +36,13 @@ class SolveMemo:
     b >= Δ(G[S])), and the solver's descent from the seed (``descent``:
     ``(need, result)``, kept and reused by ``solve`` at every b >= need, a b
     from which on none of the solver's degree caps can bind along that descent;
-    see ``heuristic._cap_need``). A reused witness or factor is not rebuilt,
-    only re-checked at its row's b (``PseudoFactor.with_bound``). A refused path
-    search is kept as its ``CapacityError``, which every later call for that mask
-    raises again without searching; a fresh memo searches again under the step
-    budget of its time. The other searches store nothing when they refuse."""
+    see ``heuristic._cap_need``). A reused witness or factor is not rebuilt:
+    ``PseudoFactor.with_bound`` carries it to its row's b, walking nothing at a
+    b at or above the factor's own and re-checking its degree window at a
+    smaller b. A refused path search is kept as its ``CapacityError``, which
+    every later call for that mask raises again without searching; a fresh memo
+    searches again under the step budget of its time. The other searches store
+    nothing when they refuse."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -56,6 +60,11 @@ class SolveMemo:
         if memo.g is not g:
             raise ValueError("memo belongs to another graph")
         return memo
+
+    @cached_property
+    def delta(self) -> int:
+        """δ(G), the minimum degree, computed once; ValueError when G is empty."""
+        return min_degree(self.g)
 
     def path(self, mask: int) -> tuple[int, ...]:
         """``longest_path`` of G[mask], mask nonempty, searched once per mask;

@@ -107,8 +107,9 @@ def min_small_components_exact(g: Graph, b: int, memo: SolveMemo | None = None) 
     empty or has all induced degrees at most b, as the search then takes all
     of G[S] at every b >= Δ(G[S]): it is kept in ``memo.witnesses``, and a
     later walk reaching S at such a b returns it without searching, not
-    rebuilt but re-checked at that b (``PseudoFactor.with_bound``). A capacity
-    refusal stores nothing.
+    rebuilt but carried to that b by ``PseudoFactor.with_bound``: nothing is
+    walked at a b at or above the kept witness's own, and its degree window is
+    re-checked at a smaller one. A capacity refusal stores nothing.
     """
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")

@@ -146,6 +146,7 @@ class TestValidate:
         factors.append(PseudoFactor.build(wheel, wheel.edges, 5))
         for pf in factors:
             assert pf.with_bound(pf.b) is pf
+            assert pf.small_count == sum(1 for c in pf.components if c.bit_count() < 3)
             for b in range(2, 8):
                 try:
                     built = PseudoFactor.build(pf.graph, pf.edges, b)
@@ -154,8 +155,15 @@ class TestValidate:
                         pf.with_bound(b)
                     assert (str(again.value), again.value.component, again.value.vertex) == \
                         (str(err), err.component, err.vertex)
-                else:
-                    assert pf.with_bound(b) == built
+                    continue
+                rebound = pf.with_bound(b)
+                assert rebound == built
+                assert rebound.small_count == sum(1 for c in rebound.components if c.bit_count() < 3)
+                # and back: the rebound factor at the first b, in the other direction
+                assert rebound.with_bound(pf.b) == pf
+                if b > pf.b:
+                    # an upward re-bound walks nothing and keeps the very tuples
+                    assert rebound.edges is pf.edges and rebound.components is pf.components
         with pytest.raises(FactorError, match=r"vertex 0 has degree 5, outside \[2, 4\]"):
             factors[-1].with_bound(4)
         with pytest.raises(ValueError):

@@ -61,15 +61,15 @@ def fake_pool(sizes: list):
 
 def spy_full_graph(monkeypatch, name: str) -> list[Graph]:
     """Record the graph of every call of ``graph.<name>`` on the whole vertex
-    set, with or without its mask, through each module that binds the
-    function."""
+    set, with or without its mask (``min_degree`` takes none), through each
+    module that binds the function."""
     original = getattr(graph_module, name)
     calls = []
 
-    def spy(g, mask=None):
-        if mask is None or mask == g.full_mask:
+    def spy(g, *mask):
+        if not mask or mask[0] is None or mask[0] == g.full_mask:
             calls.append(g)
-        return original(g, mask)
+        return original(g, *mask)
 
     for module in (graph_module, memo_module, harness, heuristic, cli):
         if getattr(module, name, None) is original:
@@ -206,6 +206,13 @@ class TestVerifyInstance:
         report = verify_instance(complete_graph(5), 4)
         assert report.kl_regime
         assert report.oracle_optimum == 0
+        # join h=1 p=2 (alpha 2, delta 2) at b = 4 sits on the boundary
+        # 2 alpha = b (delta - 1) = 4, which is in the regime; at b = 3 it is not
+        g = join_sharpness(complete_graph(1), 2)
+        report = verify_instance(g, 4, mode="both")
+        assert (report.alpha, report.delta) == (2, 2)
+        assert (report.kl_regime, report.theorem_bound, report.oracle_optimum) == (True, 0, 0)
+        assert not verify_instance(g, 3).kl_regime
 
 
 class TestRunCorpus:
@@ -283,6 +290,7 @@ class TestRunCorpus:
         ]
         alpha_calls = spy_full_graph(monkeypatch, "independence_number")
         path_calls = spy_full_graph(monkeypatch, "longest_path")
+        delta_calls = spy_full_graph(monkeypatch, "min_degree")
         sizes = []
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", fake_pool(sizes))
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
@@ -290,10 +298,12 @@ class TestRunCorpus:
         for jobs in (1, 2):  # serial, then per-graph tasks through the pool
             alpha_calls.clear()
             path_calls.clear()
+            delta_calls.clear()
             run = run_corpus(items, [4, 5, 6], mode="both", jobs=jobs)
             assert list(run.reports) == expected
             assert alpha_calls == graphs
             assert path_calls == graphs
+            assert delta_calls == graphs
         assert sizes == [2]
 
     def test_fallback_rows_search_alpha_of_g_once(self, monkeypatch):

@@ -487,6 +487,19 @@ class TestSolve:
             solve(g, b, memo=memo)
         assert memo.descent is None
 
+    def test_degree_gain_of_x6_keeps_a_b7_descent_from_b5(self):
+        # at b = 7 the descent takes X6, X6 and lifts vertex 8 to F-degree 6,
+        # so its need is 6: a b = 5 row must not reuse it, and a fresh b = 5
+        # solve takes one X6. Were X6's gain counted as 1, need would read 5
+        # and the reused factor would fail its re-check at b = 5
+        g = Graph.build(10, [(0, 3), (0, 8), (1, 5), (1, 6), (2, 5), (2, 8), (3, 8),
+                             (4, 8), (4, 9), (6, 8), (7, 8), (7, 9)])
+        fresh = [solve(g, 7), solve(g, 5)]
+        assert [[s.kind for s in r.steps] for r in fresh] == [["X6", "X6"], ["X6"]]
+        assert heuristic._cap_need(improve(initial_subgraph(g), g, 7)) == 6
+        memo = SolveMemo(g)
+        assert [solve(g, b, memo=memo) for b in (7, 5)] == fresh
+
     @pytest.mark.parametrize("g, b_values, descents", [
         (cycle_graph(5), (2, 3, 4), 1),  # the seed spans G: no move is enumerated
         (gnp(8, 0.35, 1), (4, 5, 6), 1),  # one X4 step: F keeps degree 2
