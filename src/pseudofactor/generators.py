@@ -185,9 +185,6 @@ class FamilySpec(NamedTuple):
             )
         return cls(family, params)
 
-    def get(self, key: str) -> int | float:
-        return dict(self.params)[key]
-
     def instance_id(self) -> str:
         return " ".join([self.family] + [f"{k}={v}" for k, v in self.params])
 

@@ -96,7 +96,6 @@ def check_instance(
     delta = memo.delta
     alpha: int | None = None
     bound: int | None = None
-    kl = False
     exact: OracleResult | None = None
     result: HeuristicResult | None = None
     refusal: CapacityError | None = None
@@ -104,7 +103,6 @@ def check_instance(
         alpha = memo.alpha(g.full_mask)
         if delta >= 1:
             bound = theorem_bound(alpha, delta, b)
-            kl = 2 * alpha <= b * (delta - 1)
         if mode in ("oracle", "both"):
             exact = min_small_components_exact(g, b, memo=memo)
         if mode in ("heuristic", "both"):
@@ -126,7 +124,7 @@ def check_instance(
 
     # positional, in _BoundRow's field order
     row = BoundReport(instance, g.n, b, delta, alpha, bound, oracle_opt, heur,
-                      kl, delta == 0, b == 3, status)
+                      bound == 0, delta == 0, b == 3, status)
     return row, exact, result, refusal
 
 

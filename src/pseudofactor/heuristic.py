@@ -14,6 +14,7 @@ most alpha(G - F) pieces, so the factor has at most alpha(G) small components.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import NamedTuple
 
 from .errors import NonMaximalPathError
@@ -48,6 +49,7 @@ class SearchState(NamedTuple):
 class ImproveOutcome(NamedTuple):
     state: SearchState
     steps: tuple[StepRecord, ...]
+    need: int
 
 
 class HeuristicResult(NamedTuple):
@@ -319,14 +321,17 @@ def improve(state: SearchState, g: Graph, b: int,
     (alpha(G)+1)(n+1)^2 steps.
 
     b enters only through two degree caps on the moves (X6 needs its
-    F-vertex at degree <= b - 2, X2 both ends at <= b - 1). So at every b of
-    at least 2 plus the largest F-degree of the states whose moves were
-    enumerated, the descent is the same: ``solve`` shares it across b on
-    that rule (see ``_cap_need``).
+    F-vertex at degree <= b - 2, X2 both ends at <= b - 1). ``need`` is 2
+    plus the largest F-degree of the states whose moves were enumerated
+    (every state with a nonempty D), or 2 when there were none: at every
+    b >= need neither cap binds, so the descent is the same, and ``solve``
+    shares it across b on that rule.
     """
     memo = SolveMemo.of(g, memo)
     steps: list[StepRecord] = []
+    top = 0  # the largest F-degree of a state with a nonempty D
     while state.d_mask:
+        top = max([top, *Counter(itertools.chain.from_iterable(state.f_edges)).values()])
         for move in enumerate_moves(state, g, b, memo):
             candidate = apply_move(state, move, g, memo)
             if candidate.objective < state.objective:
@@ -335,7 +340,7 @@ def improve(state: SearchState, g: Graph, b: int,
                 break
         else:
             break  # no move improves
-    return ImproveOutcome(state, tuple(steps))
+    return ImproveOutcome(state, tuple(steps), 2 + top)
 
 
 # ---------------------------------------------------------------------------
@@ -362,29 +367,6 @@ def posa_cover(g: Graph, mask: int, memo: SolveMemo | None = None) -> tuple[Edge
     return tuple(edges)
 
 
-#: the most one step of each kind can raise F's largest degree: X6 closes a
-#: cycle through one F-vertex and X2 a path between two; X4's cycle lies in
-#: D, and X1, X3 and X7 keep or lower every F-degree
-_DEGREE_GAIN = {"X6": 2, "X2": 1}
-
-
-def _cap_need(outcome: ImproveOutcome) -> int:
-    """A b from which on no degree cap can bind in ``improve``'s descent from
-    a seed cycle to ``outcome``: 2 plus a bound on the largest F-degree of
-    each state whose moves were enumerated. Those are every state but the
-    last, and the last too when G - F is not empty; the seed's degrees are
-    2, and each step raises the largest by at most its ``_DEGREE_GAIN``. At
-    every b >= need, X6's cap (degree <= b - 2) and X2's (<= b - 1) pass at
-    each of those states, so the candidates, the moves taken and the outcome
-    are the same at each such b."""
-    steps = outcome.steps
-    if not outcome.state.d_mask:
-        if not steps:
-            return 2  # the seed had no D: no move was enumerated
-        steps = steps[:-1]
-    return 4 + sum(_DEGREE_GAIN.get(step.kind, 0) for step in steps)
-
-
 def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     """Full pipeline: seed, improve, cover the rest, assemble and validate.
 
@@ -393,12 +375,13 @@ def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     for any b >= 2); only the bound guarantees are specific to other b.
     ``memo``, when given, must be a ``SolveMemo`` of this very graph; calls
     for several b may share it, and get the results of fresh calls. A call
-    whose descent has need <= b (``_cap_need``; 2 for the fallback, which
-    has no descent) keeps it in ``memo.descent``, and a later call at any
-    b >= need takes its factor, steps and fallback flag without seeding,
-    descending or covering. The factor is not rebuilt but carried to the new b
-    by ``PseudoFactor.with_bound``: at a b at or above the kept factor's own
-    nothing is walked, and at a smaller b its degree window is re-checked.
+    whose descent has need <= b (``ImproveOutcome.need``; 2 for the
+    fallback, which has no descent) keeps it in ``memo.descent``, and a
+    later call at any b >= need takes its factor, steps and fallback flag
+    without seeding, descending or covering. The factor is not rebuilt but
+    carried to the new b by ``PseudoFactor.with_bound``: at a b at or above
+    the kept factor's own nothing is walked, and at a smaller b its degree
+    window is re-checked.
     """
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
@@ -408,12 +391,11 @@ def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
         return HeuristicResult(shared.factor.with_bound(b), shared.steps, shared.fallback)
     state = initial_subgraph(g, memo)
     fallback = not state.f_edges
-    outcome = ImproveOutcome(state, ()) if fallback else improve(state, g, b, memo)
+    outcome = ImproveOutcome(state, (), 2) if fallback else improve(state, g, b, memo)
     final = outcome.state
     cover = posa_cover(g, g.full_mask ^ final.f_mask, memo)
     factor = PseudoFactor.build(g, final.f_edges.union(cover), b)
     result = HeuristicResult(factor=factor, steps=outcome.steps, fallback=fallback)
-    need = 2 if fallback else _cap_need(outcome)
-    if need <= b:
-        memo.descent = (need, result)
+    if outcome.need <= b:
+        memo.descent = (outcome.need, result)
     return result

@@ -36,10 +36,10 @@ class SolveMemo:
     b >= Δ(G[S])), and the solver's descent from the seed (``descent``:
     ``(need, result)``, kept and reused by ``solve`` at every b >= need, a b
     from which on none of the solver's degree caps can bind along that descent;
-    see ``heuristic._cap_need``). A reused witness or factor is not rebuilt:
-    ``PseudoFactor.with_bound`` carries it to its row's b, walking nothing at a
-    b at or above the factor's own and re-checking its degree window at a
-    smaller b. A refused path search is kept as its ``CapacityError``, which
+    see ``heuristic.ImproveOutcome.need``). A reused witness or factor is not
+    rebuilt: ``PseudoFactor.with_bound`` carries it to its row's b, walking
+    nothing at a b at or above the factor's own and re-checking its degree
+    window at a smaller b. A refused path search is kept as its ``CapacityError``, which
     every later call for that mask raises again without searching; a fresh memo
     searches again under the step budget of its time. The other searches store
     nothing when they refuse."""

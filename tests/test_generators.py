@@ -211,7 +211,7 @@ class TestFamilySpec:
             FamilySpec.parse(line)
 
     def test_size_limits_are_inclusive(self):
-        assert FamilySpec.parse(f"cycle n={DECLARED_VERTEX_LIMIT}").get("n") == DECLARED_VERTEX_LIMIT
+        assert dict(FamilySpec.parse(f"cycle n={DECLARED_VERTEX_LIMIT}").params)["n"] == DECLARED_VERTEX_LIMIT
         assert 724 * 723 // 2 <= MANIFEST_EDGE_LIMIT < 725 * 724 // 2
         FamilySpec.parse("complete n=724")
 
@@ -238,7 +238,7 @@ class TestFamilySpec:
 
     def test_integral_float_and_gnp_probability_accepted(self):
         assert FamilySpec.parse("cycle n=5.0").build().n == 5
-        assert FamilySpec.parse("gnp n=6 p=0.5 seed=1").get("p") == 0.5
+        assert dict(FamilySpec.parse("gnp n=6 p=0.5 seed=1").params)["p"] == 0.5
 
     def test_oversized_manifest_line_reports_line_number(self):
         with pytest.raises(ManifestError, match="line 2: .*over the limit"):

@@ -481,24 +481,35 @@ class TestSolve:
         g = gnp(17, 0.15, 1289)
         assert [s.kind for s in solve(g, 4).steps] == ["X2", "X2"]
         assert [s.kind for s in solve(g, 6).steps] == ["X2", "X2", "X2"]
-        assert heuristic._cap_need(improve(initial_subgraph(g), g, 4)) == 6
+        assert improve(initial_subgraph(g), g, 4).need == 6
         memo = SolveMemo(g)
         for b in (4, 5, 6):
             solve(g, b, memo=memo)
         assert memo.descent is None
 
     def test_degree_gain_of_x6_keeps_a_b7_descent_from_b5(self):
-        # at b = 7 the descent takes X6, X6 and lifts vertex 8 to F-degree 6,
-        # so its need is 6: a b = 5 row must not reuse it, and a fresh b = 5
-        # solve takes one X6. Were X6's gain counted as 1, need would read 5
-        # and the reused factor would fail its re-check at b = 5
+        # at b = 7 the descent takes X6, X6; the state before the second X6
+        # has vertex 8 at F-degree 4, so need is 6: a b = 5 row must not
+        # reuse it, and a fresh b = 5 solve takes one X6. Were need to read 5,
+        # the reused factor (vertex 8 at degree 6) would fail its re-check
+        # at b = 5
         g = Graph.build(10, [(0, 3), (0, 8), (1, 5), (1, 6), (2, 5), (2, 8), (3, 8),
                              (4, 8), (4, 9), (6, 8), (7, 8), (7, 9)])
         fresh = [solve(g, 7), solve(g, 5)]
         assert [[s.kind for s in r.steps] for r in fresh] == [["X6", "X6"], ["X6"]]
-        assert heuristic._cap_need(improve(initial_subgraph(g), g, 7)) == 6
+        assert improve(initial_subgraph(g), g, 7).need == 6
         memo = SolveMemo(g)
         assert [solve(g, b, memo=memo) for b in (7, 5)] == fresh
+
+    def test_need_is_2_without_an_enumerated_move(self):
+        # a seed that spans G enumerates no move, and the fallback has no
+        # descent: both are kept at every b
+        g = cycle_graph(5)
+        assert improve(initial_subgraph(g), g, 4).need == 2
+        g = path_graph(4)
+        memo = SolveMemo(g)
+        assert solve(g, 2, memo=memo).fallback
+        assert memo.descent[0] == 2
 
     @pytest.mark.parametrize("g, b_values, descents", [
         (cycle_graph(5), (2, 3, 4), 1),  # the seed spans G: no move is enumerated
@@ -506,6 +517,7 @@ class TestSolve:
         (gnp(17, 0.15, 1289), (4, 5), 2),
         (gnp(17, 0.15, 1289), (4, 5, 6), 3),
         (gnp(17, 0.15, 1289), (7, 4, 5, 6, 8), 4),  # need 7 at b = 7 serves b = 8
+        (gnp(7, 0.3, 45), (4, 5, 6), 2),  # three X2 steps at every b; need 5 at b = 5 serves b = 6
     ])
     def test_descents_per_memo(self, monkeypatch, g, b_values, descents):
         fresh = [solve(g, b) for b in b_values]
