@@ -20,16 +20,19 @@ SPANNING_LIMIT = 20
 
 
 class PseudoFactor(NamedTuple):
-    """A validated pseudo [2,b]-factor: a graph, a chosen edge subset, the
-    vertex masks of the components of the spanning subgraph they induce, by
-    smallest member, b, and the number of small components, counted once by
-    ``build``. A component is small when it has fewer than three vertices."""
+    """A validated pseudo factor: a graph, a chosen edge subset, the vertex
+    masks of the components of the spanning subgraph they induce, by smallest
+    member, the number of small components and the largest degree of the
+    chosen edges, both counted once by ``build``. A component is small when it
+    has fewer than three vertices. Validity depends on the degrees alone, so
+    the factor is a pseudo [2,b]-factor at every b >= max(2, max_degree) and
+    at no smaller b."""
 
     graph: Graph
     edges: tuple[Edge, ...]
     components: tuple[int, ...]
-    b: int
     small_count: int
+    max_degree: int
 
     @classmethod
     def build(cls, g: Graph, edges, b: int) -> "PseudoFactor":
@@ -51,35 +54,16 @@ class PseudoFactor(NamedTuple):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         components = tuple(component_masks(adj, g.full_mask))
-        _check_window(components, [a.bit_count() for a in adj], b)
+        degree = [a.bit_count() for a in adj]
+        _check_window(components, degree, b)
         small = sum(1 for mask in components if mask.bit_count() < 3)
-        return cls(g, tuple(sorted(chosen)), components, b, small)
-
-    def with_bound(self, b: int) -> "PseudoFactor":
-        """This factor as a pseudo [2,b]-factor, equal to
-        ``PseudoFactor.build(self.graph, self.edges, b)`` and raising where it
-        would. Its edges are already edges of the graph, and its components
-        and small count do not depend on b. Every large-component degree
-        already lies in [2, self.b], so at b >= self.b nothing is walked
-        again; at a smaller b the degree window of each large component is
-        re-checked."""
-        if b < 2:
-            raise ValueError(f"b must be at least 2, got {b}")
-        if b == self.b:
-            return self
-        if b < self.b:
-            degree = [0] * self.graph.n
-            for u, v in self.edges:
-                degree[u] += 1
-                degree[v] += 1
-            _check_window(self.components, degree, b)
-        return type(self)(self.graph, self.edges, self.components, b, self.small_count)
+        return cls(g, tuple(sorted(chosen)), components, small, max(degree, default=0))
 
     def __repr__(self):
         small = self.small_count
         return (
-            f"PseudoFactor(n={self.graph.n}, chosen={len(self.edges)}, "
-            f"small={small}, large={len(self.components) - small}, b={self.b})"
+            f"PseudoFactor(n={self.graph.n}, chosen={len(self.edges)}, small={small}, "
+            f"large={len(self.components) - small}, max_degree={self.max_degree})"
         )
 
 

@@ -83,7 +83,8 @@ def check_instance(
     ``SolveMemo`` of this very graph; it holds δ(G), alpha(G), the oracle's
     scan and witnesses and the solver's searches, and other rows of the same
     graph may share it: a later row takes δ(G) and alpha(G) from it, and a
-    reused witness or factor at a b at or above its own is not re-walked.
+    reused witness or factor, a pseudo [2,b]-factor at every
+    b >= max(2, max_degree), is returned as kept.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

@@ -377,18 +377,20 @@ def solve(g: Graph, b: int, memo: SolveMemo | None = None) -> HeuristicResult:
     for several b may share it, and get the results of fresh calls. A call
     whose descent has need <= b (``ImproveOutcome.need``; 2 for the
     fallback, which has no descent) keeps it in ``memo.descent``, and a
-    later call at any b >= need takes its factor, steps and fallback flag
-    without seeding, descending or covering. The factor is not rebuilt but
-    carried to the new b by ``PseudoFactor.with_bound``: at a b at or above
-    the kept factor's own nothing is walked, and at a smaller b its degree
-    window is re-checked.
+    later call at any b >= need returns the kept result itself without
+    seeding, descending or covering. A factor is a pseudo [2,b]-factor at
+    every b >= max(2, max_degree), and the descent's need bounds its factor's
+    max_degree; a kept factor whose max_degree exceeds b all the same raises
+    the FactorError that ``PseudoFactor.build`` raises at that b.
     """
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
     memo = SolveMemo.of(g, memo)
     if memo.descent is not None and memo.descent[0] <= b:
         shared = memo.descent[1]
-        return HeuristicResult(shared.factor.with_bound(b), shared.steps, shared.fallback)
+        if shared.factor.max_degree > b:  # a vertex of degree >= 3 lies in a large component
+            PseudoFactor.build(g, shared.factor.edges, b)  # raises, naming it
+        return shared
     state = initial_subgraph(g, memo)
     fallback = not state.f_edges
     outcome = ImproveOutcome(state, (), 2) if fallback else improve(state, g, b, memo)

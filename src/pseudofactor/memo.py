@@ -30,26 +30,25 @@ class SolveMemo:
     (``scan``: the ``nu`` table and the candidate groups, filled by
     ``min_small_components_exact``, whose walk sorts each group in place when it
     first reaches it), the oracle's witnesses that cannot depend on b
-    (``witnesses``: a large part S mapped to ``(Δ(G[S]), result)``, Δ(G[S]) the
-    largest degree inside G[S]; kept by a row whose walk ended at S with
-    Δ(G[S]) <= its b, and reused by every row whose walk reaches S at a
-    b >= Δ(G[S])), and the solver's descent from the seed (``descent``:
-    ``(need, result)``, kept and reused by ``solve`` at every b >= need, a b
-    from which on none of the solver's degree caps can bind along that descent;
-    see ``heuristic.ImproveOutcome.need``). A reused witness or factor is not
-    rebuilt: ``PseudoFactor.with_bound`` carries it to its row's b, walking
-    nothing at a b at or above the factor's own and re-checking its degree
-    window at a smaller b. A refused path search is kept as its ``CapacityError``, which
-    every later call for that mask raises again without searching; a fresh memo
-    searches again under the step budget of its time. The other searches store
-    nothing when they refuse."""
+    (``witnesses``: a large part S mapped to its result, kept by a row whose
+    walk ended at S with Δ(G[S]), the largest degree inside G[S], at most its
+    b, and reused by every row whose walk reaches S at a b at or above the
+    witness's ``max_degree``), and the solver's descent from the seed
+    (``descent``: ``(need, result)``, kept and reused by ``solve`` at every
+    b >= need, a b from which on none of the solver's degree caps can bind
+    along that descent; see ``heuristic.ImproveOutcome.need``). A reused
+    result is the kept object itself, since a factor is a pseudo [2,b]-factor
+    at every b >= max(2, max_degree). A refused path search is kept as its
+    ``CapacityError``, which every later call for that mask raises again
+    without searching; a fresh memo searches again under the step budget of
+    its time. The other searches store nothing when they refuse."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.paths: dict[int, tuple[int, ...] | CapacityError] = {}
         self.alphas: dict[int, int] = {}
         self.scan: tuple[list[int], list[list[int]]] | None = None
-        self.witnesses: dict[int, tuple[int, OracleResult]] = {}
+        self.witnesses: dict[int, OracleResult] = {}
         self.descent: tuple[int, HeuristicResult] | None = None
 
     @classmethod

@@ -105,11 +105,11 @@ def min_small_components_exact(g: Graph, b: int, memo: SolveMemo | None = None) 
     once per ``memo``, which, when given, must be a ``SolveMemo`` of this very
     graph, so calls for several b may share it. Nor does a witness whose S is
     empty or has all induced degrees at most b, as the search then takes all
-    of G[S] at every b >= Δ(G[S]): it is kept in ``memo.witnesses``, and a
-    later walk reaching S at such a b returns it without searching, not
-    rebuilt but carried to that b by ``PseudoFactor.with_bound``: nothing is
-    walked at a b at or above the kept witness's own, and its degree window is
-    re-checked at a smaller one. A capacity refusal stores nothing.
+    of G[S] at every b >= Δ(G[S]), which is then the witness's
+    ``max_degree`` (a factor is a pseudo [2,b]-factor at every
+    b >= max(2, max_degree)): it is kept in ``memo.witnesses``, and a later
+    walk reaching S at such a b returns the kept result itself without
+    searching. A capacity refusal stores nothing.
     """
     if b < 2:
         raise ValueError(f"b must be at least 2, got {b}")
@@ -122,9 +122,8 @@ def min_small_components_exact(g: Graph, b: int, memo: SolveMemo | None = None) 
 
     for large in _walk(nu, groups, g.full_mask):
         kept = memo.witnesses.get(large)
-        if kept is not None and kept[0] <= b:
-            optimum, witness = kept[1]
-            return OracleResult(optimum, witness.with_bound(b))
+        if kept is not None and kept.witness.max_degree <= b:
+            return kept
         chosen = spanning_in_range(g, large, b) if large else ()
         if chosen is not None:
             break
@@ -146,5 +145,5 @@ def min_small_components_exact(g: Graph, b: int, memo: SolveMemo | None = None) 
     result = OracleResult(optimum, PseudoFactor.build(g, edges, b))
     top = max((adjb[v] & large).bit_count() for v in bits(large)) if large else 0
     if top <= b:
-        memo.witnesses[large] = (top, result)
+        memo.witnesses[large] = result
     return result

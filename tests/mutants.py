@@ -56,11 +56,16 @@ MUTANTS = (
            "bound is not None and bound <= 1, delta == 0",
            "kl_regime past its boundary 2 alpha = b (delta - 1)",
            ("tests/test_harness.py::TestVerifyInstance::test_kl_regime_flag",)),
+    Mutant("heuristic.py",
+           "if shared.factor.max_degree > b:",
+           "if False:",
+           "solve returns a kept descent whose factor's degree exceeds the row's b",
+           ("tests/test_heuristic.py::TestSolve::test_a_descent_reused_below_its_factors_degree_raises",)),
     Mutant("factor.py",
-           "if b < self.b:",
-           "if b > self.b:",
-           "with_bound skips its degree re-check below the factor's b",
-           ("tests/test_factor.py::TestValidate::test_with_bound_matches_build",)),
+           "small, max(degree, default=0))",
+           "small, max(degree, default=0) - 1)",
+           "build records max_degree one low",
+           ("tests/test_factor.py::TestValidate::test_max_degree_sets_the_bs_it_builds_at",)),
     Mutant("factor.py",
            "components if mask.bit_count() < 3)",
            "components if mask.bit_count() <= 3)",
@@ -71,6 +76,11 @@ MUTANTS = (
            "if d < 1 or d > b:",
            "_check_window accepts degree 1 in a large component",
            ("tests/test_factor.py::TestValidate::test_degree_one_in_large_component",)),
+    Mutant("factor.py",
+           "if d < 2 or d > b:",
+           "if d < 2 or d > b + 1:",
+           "_check_window accepts degree b + 1",
+           ("tests/test_factor.py::TestValidate::test_degree_above_b",)),
     Mutant("harness.py",
            "(oracle_opt or 0) <= heur <= alpha",
            "(oracle_opt or 0) <= heur",
@@ -87,8 +97,8 @@ MUTANTS = (
            "theorem_bound rounds b (delta - 1) / 2 up",
            ("tests/test_harness.py::TestTheoremBound::test_odd_b_floors_exactly",)),
     Mutant("oracle.py",
-           "kept[0] <= b:",
-           "kept[0] <= b + 1:",
+           "kept.witness.max_degree <= b:",
+           "kept.witness.max_degree <= b + 1:",
            "a kept oracle witness is reused one b below its largest degree",
            ("tests/test_oracle.py::TestSharedScan",)),
     Mutant("oracle.py",
@@ -106,6 +116,46 @@ MUTANTS = (
            '"capacity_skipped": EXIT_OK}',
            "a refused row exits 0 under --strict",
            ("tests/test_cli.py::test_every_exit_code",)),
+    Mutant("cli.py",
+           '"BOUND_VIOLATION": EXIT_VIOLATION,',
+           '"BOUND_VIOLATION": EXIT_OK,',
+           "a bound violation exits 0",
+           ("tests/test_cli.py::test_every_exit_code",)),
+    Mutant("cli.py",
+           '"SOLVER_INCONSISTENT": EXIT_INTERNAL,',
+           '"SOLVER_INCONSISTENT": EXIT_OK,',
+           "an inconsistent row exits 0",
+           ("tests/test_cli.py::test_every_exit_code",)),
+    Mutant("harness.py",
+           "exact.witness.small_count != oracle_opt)",
+           "exact.witness.small_count > oracle_opt)",
+           "an optimum above its witness's small count passes as consistent",
+           ("tests/test_harness.py::TestVerifyInstance::test_witness_must_attain_optimum",)),
+    Mutant("oracle.py",
+           "(-nu[full ^ large], large)",
+           "(nu[full ^ large], large)",
+           "the walk tries more vertex components first among equal small counts",
+           ("tests/test_oracle.py::TestExact::test_witness_tie_breaks",)),
+    Mutant("generators.py",
+           "if vertices > DECLARED_VERTEX_LIMIT:",
+           "if vertices > DECLARED_VERTEX_LIMIT + 1:",
+           "a family one vertex past the limit is accepted",
+           ("tests/test_generators.py::TestFamilySpec::test_too_many_vertices_rejected_at_parse",)),
+    Mutant("generators.py",
+           "if edges > MANIFEST_EDGE_LIMIT:",
+           "if edges > MANIFEST_EDGE_LIMIT + 1:",
+           "a family one edge past the limit is accepted",
+           ("tests/test_generators.py::TestFamilySpec::test_edge_limit_refuses_one_past_its_boundary",)),
+    Mutant("graph.py",
+           "if n > DECLARED_VERTEX_LIMIT:",
+           "if n > DECLARED_VERTEX_LIMIT + 1:",
+           "a graph file header one vertex past the limit is accepted",
+           ("tests/test_graph.py::TestParsing::test_declared_vertex_count_limit",)),
+    Mutant("graph.py",
+           "if steps > budget:",
+           "if steps > budget + 1:",
+           "the path search takes one branching step past its budget",
+           ("tests/test_graph.py::TestLongestPath::test_step_budget",)),
 )
 
 

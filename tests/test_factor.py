@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,7 @@ class TestValidate:
         assert pf.edges == tuple(chosen)
         assert [tuple(bits(c)) for c in pf.components] == comps
         assert pf.small_count == sum(len(c) < 3 for c in comps)
+        assert pf.max_degree == max((len(nbrs[v]) for v in nbrs), default=0)
         kinds = {1: "vertex", 2: "edge"}
         assert factor_to_text(pf).splitlines() == [
             f"component {k}: class={kinds.get(len(c), 'large')} vertices={','.join(map(str, c))} "
@@ -138,36 +140,25 @@ class TestValidate:
             for k, c in enumerate(comps)
         ]
 
-    def test_with_bound_matches_build(self, corpus_oracle):
-        # the corpus witnesses, and a wheel whose hub has degree 5, re-checked
-        # at each b: equal to a fresh build, or the same error
+    def test_max_degree_sets_the_bs_it_builds_at(self, corpus_oracle):
+        # the corpus witnesses, and a wheel whose hub has degree 5, built
+        # again at each b: the very same record at every b >= max(2,
+        # max_degree), and a FactorError below it
         wheel = Graph.build(6, [(0, v) for v in range(1, 6)] + [(v, v % 5 + 1) for v in range(1, 6)])
         factors = [result.witness for result in corpus_oracle.values()]
         factors.append(PseudoFactor.build(wheel, wheel.edges, 5))
         for pf in factors:
-            assert pf.with_bound(pf.b) is pf
-            assert pf.small_count == sum(1 for c in pf.components if c.bit_count() < 3)
+            degree = Counter(v for e in pf.edges for v in e)
+            assert pf.max_degree == max(degree.values(), default=0)
             for b in range(2, 8):
-                try:
-                    built = PseudoFactor.build(pf.graph, pf.edges, b)
-                except FactorError as err:
-                    with pytest.raises(FactorError) as again:
-                        pf.with_bound(b)
-                    assert (str(again.value), again.value.component, again.value.vertex) == \
-                        (str(err), err.component, err.vertex)
-                    continue
-                rebound = pf.with_bound(b)
-                assert rebound == built
-                assert rebound.small_count == sum(1 for c in rebound.components if c.bit_count() < 3)
-                # and back: the rebound factor at the first b, in the other direction
-                assert rebound.with_bound(pf.b) == pf
-                if b > pf.b:
-                    # an upward re-bound walks nothing and keeps the very tuples
-                    assert rebound.edges is pf.edges and rebound.components is pf.components
+                if b >= max(2, pf.max_degree):
+                    assert PseudoFactor.build(pf.graph, pf.edges, b) == pf
+                else:
+                    with pytest.raises(FactorError):
+                        PseudoFactor.build(pf.graph, pf.edges, b)
+        assert factors[-1].max_degree == 5
         with pytest.raises(FactorError, match=r"vertex 0 has degree 5, outside \[2, 4\]"):
-            factors[-1].with_bound(4)
-        with pytest.raises(ValueError):
-            factors[-1].with_bound(1)
+            PseudoFactor.build(wheel, wheel.edges, 4)
 
     def test_component_classification(self):
         g = Graph.build(6, [(0, 1), (1, 2), (0, 2), (3, 4)])

@@ -191,6 +191,7 @@ class TestFamilySpec:
     @pytest.mark.parametrize("line", [
         "complete n=1000000000",
         "cycle n=65537",
+        "cycle n=1025",  # one past the limit
         "path n=1e12",
         "gnp n=100000 p=0.001 seed=1",
         "join h=1 p=40000",
@@ -214,6 +215,14 @@ class TestFamilySpec:
         assert dict(FamilySpec.parse(f"cycle n={DECLARED_VERTEX_LIMIT}").params)["n"] == DECLARED_VERTEX_LIMIT
         assert 724 * 723 // 2 <= MANIFEST_EDGE_LIMIT < 725 * 724 // 2
         FamilySpec.parse("complete n=724")
+
+    def test_edge_limit_refuses_one_past_its_boundary(self, monkeypatch):
+        # no spec within the vertex limit implies exactly one edge past the
+        # edge limit, so a smaller limit, read at call time, pins that boundary
+        monkeypatch.setattr(generators, "MANIFEST_EDGE_LIMIT", 5)
+        FamilySpec.parse("cycle n=5")
+        with pytest.raises(ManifestError, match="6 edges, over the limit of 5"):
+            FamilySpec.parse("cycle n=6")
 
     def test_non_finite_size_rejected(self):
         with pytest.raises(ManifestError, match="not finite"):

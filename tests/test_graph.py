@@ -412,8 +412,8 @@ class TestLongestPath:
     def test_step_budget(self, monkeypatch):
         # the budget counts branching steps only and is read at call time: a
         # path never branches, so it needs none; K_1 joined to 4 disjoint
-        # edges has no Hamiltonian path, so its search branches, and one step
-        # fewer than it takes is refused
+        # edges has no Hamiltonian path, so its search branches 25 times, and
+        # one step fewer than it takes is refused
         g = join_sharpness(complete_graph(1), 4)
         want = longest_path(g)
         monkeypatch.setattr(graph_module, "LONGEST_PATH_STEPS", 0)
@@ -427,7 +427,7 @@ class TestLongestPath:
             except CapacityError as exc:
                 assert str(exc) == f"longest-path search limited to {need} branching steps, on 9 vertices"
                 need += 1
-        assert need > 0
+        assert need == 25
 
     def test_memo_keeps_its_refusal(self, monkeypatch):
         # a memo keeps the refusal it met and raises it again, same message,

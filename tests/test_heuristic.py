@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import all_labelled_graphs, cover_pieces, mask_of, neighbors, small_graphs
 import pseudofactor.memo as memo_module
 from pseudofactor import heuristic
+from pseudofactor.errors import FactorError
 from pseudofactor.factor import is_2b_subgraph, validate_pseudo_factor
 from pseudofactor.generators import (
     complete_graph,
@@ -466,10 +467,13 @@ class TestSolve:
             rng.shuffle(b_values)
             memo = SolveMemo(g)
             for b in b_values:
-                reused += memo.descent is not None and memo.descent[0] <= b
+                kept = memo.descent
                 shared, own = solve(g, b, memo=memo), solve(g, b)
-                assert (shared.factor.edges, shared.steps, shared.fallback, shared.factor.b) == \
-                    (own.factor.edges, own.steps, own.fallback, b), (g.edges, b_values, b)
+                assert shared == own, (g.edges, b_values, b)
+                if kept is not None and kept[0] <= b:
+                    # a reused descent is returned itself, not rebuilt
+                    assert shared is kept[1]
+                    reused += 1
                 rows += 1
         assert rows // 2 < reused < rows
 
@@ -500,6 +504,20 @@ class TestSolve:
         assert improve(initial_subgraph(g), g, 7).need == 6
         memo = SolveMemo(g)
         assert [solve(g, b, memo=memo) for b in (7, 5)] == fresh
+
+    def test_a_descent_reused_below_its_factors_degree_raises(self):
+        # the b = 7 descent of the graph above leaves vertex 8 at degree 6;
+        # planted under a need of 2, a b = 5 row must not return it but
+        # raise the FactorError a build at b = 5 raises, while b = 6 takes it
+        g = Graph.build(10, [(0, 3), (0, 8), (1, 5), (1, 6), (2, 5), (2, 8), (3, 8),
+                             (4, 8), (4, 9), (6, 8), (7, 8), (7, 9)])
+        memo = SolveMemo(g)
+        kept = solve(g, 7, memo=memo)
+        assert kept.factor.max_degree == 6
+        memo.descent = (2, kept)
+        with pytest.raises(FactorError, match=r"vertex 8 has degree 6, outside \[2, 5\]"):
+            solve(g, 5, memo=memo)
+        assert solve(g, 6, memo=memo) is kept
 
     def test_need_is_2_without_an_enumerated_move(self):
         # a seed that spans G enumerates no move, and the fallback has no

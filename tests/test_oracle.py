@@ -128,12 +128,12 @@ class TestSharedScan:
             rng.shuffle(b_values)
             memo = SolveMemo(g)
             for b in b_values:
-                kept = [result.witness.edges for _, result in memo.witnesses.values()]
+                kept = list(memo.witnesses.values())
                 shared = min_small_components_exact(g, b, memo=memo)
                 own = min_small_components_exact(g, b)
                 assert shared == own, (g.edges, b_values, b)
-                # a kept witness is re-checked, not rebuilt: its edges are the same object
-                reused += any(shared.witness.edges is edges for edges in kept)
+                # a kept witness is returned itself, not rebuilt
+                reused += any(shared is result for result in kept)
                 rows += 1
         assert rows // 2 < reused < rows
 

@@ -70,9 +70,13 @@ def test_record_is_an_immutable_picklable_namedtuple(name):
     assert type(copy) is type(record)
 
 
+def test_pseudo_factor_fields():
+    assert pseudofactor.PseudoFactor._fields == ("graph", "edges", "components", "small_count", "max_degree")
+
+
 def test_custom_reprs_are_kept():
     assert repr(SAMPLES["Graph"]) == "Graph(n=7, m=9)"
-    assert repr(SAMPLES["PseudoFactor"]) == "PseudoFactor(n=7, chosen=7, small=1, large=1, b=4)"
+    assert repr(SAMPLES["PseudoFactor"]) == "PseudoFactor(n=7, chosen=7, small=1, large=1, max_degree=4)"
 
 
 def test_report_keeps_an_outside_attribute_through_pickling():
